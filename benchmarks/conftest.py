@@ -4,39 +4,8 @@ Each ``bench_*.py``/``test_fig*`` wraps one paper experiment: the benchmark
 measures the wall-clock of the full sweep, prints the reproduced
 table/figure series (run pytest with ``-s`` to see it), and asserts the
 qualitative shape the paper reports, so the suite doubles as a regression
-gate for the reproduction.
-
-Setting ``REPRO_BENCH_JSON=DIR`` turns the suite into a recording harness:
-every benchmark test that passes writes a ``BENCH_<experiment>.json``
-wall-clock record into DIR (see :mod:`repro.exec.bench`), so CI and perf
-PRs can diff sweep times across commits::
-
-    REPRO_BENCH_JSON=bench-out REPRO_JOBS=2 pytest benchmarks/bench_fig14_organizations.py
+gate for the reproduction.  Wall-clock A/B comparisons across commits are
+the job of the repo's benchmark, ``perfbench/`` (see its README).
 """
 
-import os
-import time
-
-import pytest
-
 collect_ignore_glob: list = []
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    out_dir = os.environ.get("REPRO_BENCH_JSON", "").strip()
-    if not out_dir:
-        yield
-        return
-    start = time.perf_counter()
-    outcome = yield
-    wall = time.perf_counter() - start
-    if outcome.excinfo is None:
-        from repro.exec import bench_name_for_module, jobs_from_env, write_bench
-
-        write_bench(
-            bench_name_for_module(item.path.stem),
-            wall,
-            directory=out_dir,
-            jobs=jobs_from_env(default=1),
-        )

@@ -37,7 +37,6 @@ from .errors import (
 from .obs import (
     ChromeTracer,
     Counter,
-    EventLoopProfiler,
     Gauge,
     Histogram,
     MetricRegistry,
@@ -69,7 +68,6 @@ __all__ = [
     "ChromeTracer",
     "ConfigError",
     "Counter",
-    "EventLoopProfiler",
     "Gauge",
     "Histogram",
     "MetricError",

@@ -31,9 +31,6 @@ Performance flags (``all`` and every experiment subcommand):
   workload, code version); with DIR the cache persists on disk across
   invocations (``REPRO_CACHE_DIR`` is the environment equivalent).
   The scheduling CostBook persists as ``costbook.json`` next to it.
-- ``--bench-json DIR`` — write a ``BENCH_<experiment>.json`` wall-clock
-  record for the run, including simulated events and events/sec when the
-  sweep executed anything (see docs/performance.md).
 
 Sweep telemetry flags (``all`` and every experiment subcommand; see
 docs/observability.md "Sweep telemetry & flight recorder"):
@@ -69,7 +66,9 @@ Observability flags (``run`` and every experiment subcommand):
   worker, one thread lane per job).
 - ``--timeseries [US]`` — sample congestion gauges every US simulated
   microseconds (default 5); ``run`` surfaces them in ``--report``.
-- ``--profile`` — wall-clock profile of the event loop, printed at exit.
+- ``--profile`` — run the command under ``cProfile`` and print exclusive
+  wall-clock self time per ``repro.<package>`` at exit (forces a serial
+  sweep).
 """
 
 from __future__ import annotations
@@ -81,6 +80,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 from .config import NETWORK_MODELS
@@ -95,7 +95,6 @@ from .exec import (
     pool_spawns,
     process_cache_stats,
     shutdown_pool,
-    write_bench,
 )
 from .exec import runtime as exec_runtime
 from .experiments import EXPERIMENTS
@@ -120,10 +119,9 @@ _SCALED = {
     "ext-sched",
 }
 
-#: CLI commands whose bench record name differs from the command; keeps
-#: ``BENCH_*.json`` names aligned with the benchmark-harness modules
-#: (``bench_fig07_remote_access`` records ``fig07``).
-_BENCH_ALIAS = {"fig7": "fig07"}
+#: CLI commands whose ``RUNLOG_*.jsonl`` name differs from the command
+#: (aligned with the benchmark modules: ``bench_fig07_remote_access``).
+_RUNLOG_ALIAS = {"fig7": "fig07"}
 
 
 def _make_obs(args) -> Optional[Observability]:
@@ -173,6 +171,14 @@ def _positive_jobs(text: str) -> int:
             f"--jobs needs a worker count >= 1 or 'auto', got {text}"
         )
     return value
+
+
+def _positive_quota(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"--quota needs a job count >= 1, got {text}"
+        )
+    return int(text)
 
 
 def _prefilter_ratio(text: str) -> float:
@@ -263,12 +269,6 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
         "across invocations (default: REPRO_CACHE_DIR or off)",
     )
     parser.add_argument(
-        "--bench-json",
-        default=None,
-        metavar="DIR",
-        help="write a BENCH_<experiment>.json wall-clock record into DIR",
-    )
-    parser.add_argument(
         "--keep-going",
         action="store_true",
         help="finish the sweep past failed points and report a failure "
@@ -337,8 +337,9 @@ def _install_perf_defaults(args, obs: Optional[Observability] = None):
             trace_dir = tempfile.mkdtemp(prefix="repro-sweep-trace-")
             obs = None
         else:
-            # A sampler/profiler cannot cross the pool boundary; rather
-            # than silently produce empty output, keep the sweep in-process.
+            # A sampler cannot cross the pool boundary and the profile
+            # sees only this process; rather than silently produce empty
+            # output, keep the sweep in-process.
             print(
                 "warning: --timeseries/--profile need in-process execution; "
                 f"running serially instead of with {jobs} workers",
@@ -405,7 +406,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print a wall-clock profile of the event loop",
+        help="run under cProfile and print exclusive wall-clock self "
+        "time per repro.<package> (forces a serial sweep)",
     )
 
 
@@ -414,7 +416,6 @@ def _run_experiment(
     scale: Optional[float],
     save: Optional[str] = None,
     obs: Optional[Observability] = None,
-    bench_json: Optional[str] = None,
     runlog: Optional[str] = None,
 ) -> int:
     """Run one experiment; returns the exit code (0 ok, 1 fail-fast
@@ -432,7 +433,7 @@ def _run_experiment(
     start = time.time()
     try:
         if obs is not None:
-            with default_observability(obs):
+            with default_observability(obs), obs.profiled():
                 result = runner(**kwargs)
         else:
             result = runner(**kwargs)
@@ -454,7 +455,6 @@ def _run_experiment(
     if cache is not None and (cache.stats.hits or cache.stats.misses):
         note += f" ({cache.stats.as_note()})"
     print(f"[{name} completed in {wall:.1f}s{note}]")
-    events = sum(t.events for t in result.telemetry if t.source == "run")
     spawns = pool_spawns() if jobs > 1 else None
     if result.telemetry:
         s = result.flight_summary(pool_spawns=spawns)
@@ -484,7 +484,7 @@ def _run_experiment(
         print(f"[saved to {save}]")
     if runlog:
         path = write_runlog(
-            str(runlog_path(runlog, _BENCH_ALIAS.get(name, name))),
+            str(runlog_path(runlog, _RUNLOG_ALIAS.get(name, name))),
             name,
             result.telemetry,
             failures=result.failures,
@@ -492,27 +492,6 @@ def _run_experiment(
             pool_spawns=spawns,
         )
         print(f"[runlog -> {path}]")
-    if bench_json:
-        # Non-packet tiers get their own record name (fig14_analytic) so
-        # the diff gate never compares tiers like-for-like; the fidelity
-        # field backstops that for hand-renamed files.
-        fidelity = exec_runtime.get_default_fidelity() or "packet"
-        bench_name = _BENCH_ALIAS.get(name, name)
-        if fidelity != "packet":
-            bench_name = f"{bench_name}_{fidelity}"
-        path = write_bench(
-            bench_name,
-            wall,
-            directory=bench_json,
-            jobs=jobs,
-            rows=len(result.rows),
-            events=events or None,
-            extra={
-                "fidelity": fidelity,
-                "sched": exec_runtime.get_default_schedule(),
-            },
-        )
-        print(f"[bench record -> {path}]")
     if result.failures:
         print(
             f"error: {name} completed with {len(result.failures)} failed "
@@ -562,13 +541,14 @@ def _run_one(args) -> int:
     obs = _make_obs(args)
     watchdog.set_default_limits(args.max_events, args.wall_limit)
     try:
-        result, system = run_workload_detailed(
-            spec.arch,
-            spec.workload.build(),
-            cfg=spec.cfg,
-            obs=obs,
-            **dict(spec.run_kwargs),
-        )
+        with obs.profiled() if obs is not None else nullcontext():
+            result, system = run_workload_detailed(
+                spec.arch,
+                spec.workload.build(),
+                cfg=spec.cfg,
+                obs=obs,
+                **dict(spec.run_kwargs),
+            )
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -694,7 +674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_serve.add_argument(
         "--quota",
-        type=int,
+        type=_positive_quota,
         default=None,
         metavar="N",
         help="max concurrently *running* jobs per client; submissions "
@@ -831,7 +811,6 @@ def _dispatch(args) -> int:
                         name,
                         args.scale,
                         obs=obs,
-                        bench_json=args.bench_json,
                         runlog=_runlog_dir(args),
                     ),
                 )
@@ -864,7 +843,6 @@ def _dispatch(args) -> int:
             args.scale,
             args.save,
             obs=obs,
-            bench_json=args.bench_json,
             runlog=_runlog_dir(args),
         )
     except BaseException:

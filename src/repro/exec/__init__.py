@@ -1,6 +1,6 @@
 """repro.exec — the sweep performance layer.
 
-Four cooperating pieces make the experiment suite scale:
+Three cooperating pieces make the experiment suite scale:
 
 - :class:`~repro.exec.executor.SweepExecutor` fans independent sweep
   points out over a process pool (``--jobs N`` / ``REPRO_JOBS``, or
@@ -15,9 +15,10 @@ Four cooperating pieces make the experiment suite scale:
   points;
 - :class:`~repro.exec.cache.ResultCache` keys results on a content hash
   of (spec, config, workload, code version) and short-circuits repeated
-  simulations within and across experiments;
-- :mod:`~repro.exec.bench` records wall-clock baselines as
-  ``BENCH_<name>.json`` so the performance trajectory is measurable.
+  simulations within and across experiments.
+
+Performance is measured from outside the package, by the repo's
+benchmark (``perfbench/``).
 
 Correctness bar: serial, parallel, and cached executions of the same
 sweep produce identical rows (every run is a pure function of its job),
@@ -32,14 +33,6 @@ fail-fast vs keep-going decides whether the first failure raises
 report (see docs/robustness.md).
 """
 
-from .bench import (
-    bench_name_for_module,
-    bench_record,
-    diff_bench,
-    format_diff,
-    load_bench,
-    write_bench,
-)
 from .cache import (
     CACHE_MAX_MB_ENV,
     CacheStats,
@@ -121,11 +114,6 @@ __all__ = [
     "WorkloadRef",
     "analytic_estimate",
     "auto_jobs",
-    "bench_name_for_module",
-    "bench_record",
-    "diff_bench",
-    "format_diff",
-    "load_bench",
     "code_version",
     "default_executor",
     "execute_job",
@@ -159,5 +147,4 @@ __all__ = [
     "set_default_trace_dir",
     "shutdown_pool",
     "sweep_defaults",
-    "write_bench",
 ]

@@ -10,8 +10,8 @@ Four primitives, usable separately or bundled through
   (open in Perfetto), hooked in via ``Simulator.tracer``;
 - :class:`Sampler` — periodic snapshots of congestion gauges into
   windowed time series (``system.sampler`` after a sampled run);
-- :class:`EventLoopProfiler` — wall-clock attribution of event callbacks
-  per module, hooked in via ``Simulator.profiler``.
+- :class:`SelfTimeProfiler` — ``cProfile`` of an in-process command,
+  folded to exclusive wall-clock self time per ``repro.<package>``.
 
 See ``docs/observability.md`` for usage and ``repro run --trace/--timeseries/
 --profile`` for the CLI entry points.
@@ -23,10 +23,10 @@ from .bind import (
     install_default_probes,
     register_system_metrics,
 )
-from .profiler import EventLoopProfiler
 from .registry import Counter, Gauge, Histogram, MetricRegistry
 from .runtime import default_observability, get_default, set_default
 from .sampler import Sampler
+from .selftime import SelfTimeProfiler
 from .telemetry import (
     JobTelemetry,
     JsonlProgress,
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_SAMPLE_INTERVAL_PS",
     "ChromeTracer",
     "Counter",
-    "EventLoopProfiler",
     "Gauge",
     "Histogram",
     "JobTelemetry",
@@ -54,6 +53,7 @@ __all__ = [
     "Observability",
     "ProgressListener",
     "Sampler",
+    "SelfTimeProfiler",
     "TtyProgress",
     "default_observability",
     "flight_summary",

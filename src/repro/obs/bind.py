@@ -12,17 +12,19 @@ in-flight packets, vault queue depth, SM occupancy).
 sampling cadence, profiling on/off) and is what flows from the CLI into
 ``run_workload`` / ``MultiGPUSystem``.  A sweep reuses one bundle across
 many system instances: traces land in one file with one trace "process"
-per run, the profiler accumulates, and each run gets its own sampler.
+per run, each run gets its own sampler, and the profiler covers every
+:meth:`Observability.profiled` block.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from contextlib import nullcontext
+from typing import ContextManager, List, Optional
 
 from ..errors import MetricError
-from .profiler import EventLoopProfiler
 from .registry import MetricRegistry
 from .sampler import Sampler
+from .selftime import SelfTimeProfiler
 from .tracer import ChromeTracer
 
 #: Default sampling cadence: 0.25 simulated microseconds (the CLI default;
@@ -160,8 +162,8 @@ class Observability:
         profile: bool = False,
     ) -> None:
         self.tracer: Optional[ChromeTracer] = ChromeTracer() if trace else None
-        self.profiler: Optional[EventLoopProfiler] = (
-            EventLoopProfiler() if profile else None
+        self.profiler: Optional[SelfTimeProfiler] = (
+            SelfTimeProfiler() if profile else None
         )
         if sample_interval_us is not None and sample_interval_us <= 0:
             raise MetricError(
@@ -175,13 +177,11 @@ class Observability:
         #: One sampler per bound system, in bind order.
         self.samplers: List[Sampler] = []
 
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer is not None
-            or self.profiler is not None
-            or self.sample_interval_ps > 0
-        )
+    def profiled(self) -> ContextManager:
+        """Profile the enclosed block when profiling is on (else a no-op)."""
+        if self.profiler is None:
+            return nullcontext()
+        return self.profiler.running()
 
     # ------------------------------------------------------------------
     def bind(self, system) -> None:
@@ -192,7 +192,7 @@ class Observability:
             pid = self.tracer.begin_process(f"{system.spec.name}")
             sim.tracer = self.tracer
         if self.profiler is not None:
-            sim.profiler = self.profiler
+            self.profiler.watch(sim)
         if self.sample_interval_ps > 0:
             sampler = Sampler(
                 sim, self.sample_interval_ps, tracer=self.tracer, pid=pid

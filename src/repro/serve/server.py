@@ -646,6 +646,7 @@ def serve_command(args: Any) -> int:
         max_mb = None  # --cache-max-mb 0 disables the cap explicitly
     cache_dir = getattr(args, "cache", None)
     cache = ResultCache(cache_dir or None, max_mb=max_mb)
+    quota = getattr(args, "quota", None)  # validated >= 1 by the CLI
     # --max-events/--wall-limit become the pool's watchdog limits, wired
     # into every worker at spawn (same path the batch CLI uses).
     watchdog.set_default_limits(
@@ -657,8 +658,7 @@ def serve_command(args: Any) -> int:
             address,
             cache=cache,
             jobs=getattr(args, "jobs", None),
-            quota=getattr(args, "quota", None) or DEFAULT_QUOTA,
-            pool_retries=getattr(args, "pool_retries", None) or 2,
+            quota=DEFAULT_QUOTA if quota is None else quota,
             drain_s=(
                 args.drain_s
                 if getattr(args, "drain_s", None) is not None

@@ -34,9 +34,6 @@ class Simulator:
         #: single ``is not None`` check, so the disabled cost is one
         #: attribute load per hook site.
         self.tracer = None
-        #: Optional :class:`~repro.obs.profiler.EventLoopProfiler`; when
-        #: set, :meth:`run` times every callback (checked once per run).
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -71,12 +68,11 @@ class Simulator:
         """
         executed = 0
         self._running = True
-        profiler = self.profiler
         queue = self._queue
         pop = heapq.heappop
         try:
-            if until_ps is None and max_events is None and profiler is None:
-                # Fast path: no per-event limit/profiler checks.  This loop
+            if until_ps is None and max_events is None:
+                # Fast path: no per-event limit checks.  This loop
                 # executes every event of every simulation — keeping it to a
                 # pop, a store, and a call is a measurable whole-run win.
                 while queue:
@@ -84,7 +80,7 @@ class Simulator:
                     self.now = entry[0]
                     entry[2]()
                     executed += 1
-            elif until_ps is None and profiler is None:
+            elif until_ps is None:
                 # Bounded fast path: only an event budget.  The watchdog
                 # (repro.sim.watchdog) runs every simulation in slices of
                 # ``max_events``, so this loop is as hot as the one above —
@@ -96,16 +92,13 @@ class Simulator:
                     executed += 1
             else:
                 while queue:
-                    if until_ps is not None and queue[0][0] > until_ps:
+                    if queue[0][0] > until_ps:
                         break
                     if max_events is not None and executed >= max_events:
                         break
                     time_ps, _, fn = pop(queue)
                     self.now = time_ps
-                    if profiler is None:
-                        fn()
-                    else:
-                        profiler.record(fn)
+                    fn()
                     executed += 1
         finally:
             self._running = False

@@ -1,11 +1,9 @@
-"""The cross-tier harness: row comparison, tolerances, CLI dispatch,
-and the bench diff's fidelity guard."""
+"""The cross-tier harness: row comparison, tolerances, CLI dispatch."""
 
 import json
 
 import pytest
 
-from repro.exec.bench import diff_bench, write_bench
 from repro.exec.xtier import (
     DEFAULT_TOLERANCE,
     TOLERANCE_FLOOR,
@@ -73,52 +71,15 @@ class TestToleranceFromErrors:
         assert bands["tiny"] == TOLERANCE_FLOOR
 
 
-class TestBenchFidelityGuard:
-    def test_mismatched_fidelity_never_regresses(self, tmp_path):
-        base = tmp_path / "base"
-        fresh = tmp_path / "fresh"
-        write_bench("fig14", 10.0, directory=str(base))
-        # Same record name, different tier, wildly faster: must not be
-        # compared like-for-like in either direction.
-        write_bench(
-            "fig14", 0.1, directory=str(fresh), extra={"fidelity": "analytic"}
-        )
-        diff = diff_bench(str(fresh), str(base))
-        assert diff["regressions"] == []
-        (entry,) = [e for e in diff["entries"] if e["bench"] == "fig14"]
-        assert entry["status"] == "fidelity-mismatch"
-        assert "ratio" not in entry
-
-    def test_matching_fidelity_still_compares(self, tmp_path):
-        base = tmp_path / "base"
-        fresh = tmp_path / "fresh"
-        for d, wall in ((base, 1.0), (fresh, 10.0)):
-            write_bench(
-                "fig14", wall, directory=str(d), extra={"fidelity": "analytic"}
-            )
-        diff = diff_bench(str(fresh), str(base))
-        assert diff["regressions"] == ["fig14"]
-
-
 class TestMainDispatch:
-    def test_bare_flags_still_diff(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv", [[], ["diff"], ["--fresh", "out"], ["--baseline", "benchmarks"]]
+    )
+    def test_anything_but_xtier_is_a_usage_error(self, argv, capsys):
         from repro.exec.__main__ import main
 
-        base = tmp_path / "base"
-        fresh = tmp_path / "fresh"
-        write_bench("fig14", 1.0, directory=str(base))
-        write_bench("fig14", 1.0, directory=str(fresh))
-        assert main(["--fresh", str(fresh), "--baseline", str(base)]) == 0
-        assert "Bench diff" in capsys.readouterr().out
-
-    def test_diff_subcommand(self, tmp_path, capsys):
-        from repro.exec.__main__ import main
-
-        base = tmp_path / "base"
-        fresh = tmp_path / "fresh"
-        write_bench("fig14", 1.0, directory=str(base))
-        write_bench("fig14", 5.0, directory=str(fresh))
-        assert main(["diff", "--fresh", str(fresh), "--baseline", str(base)]) == 1
+        assert main(argv) == 2
+        assert "xtier is the only subcommand" in capsys.readouterr().err
 
     def test_xtier_reports_missing_reference(self, tmp_path, capsys, monkeypatch):
         from repro.analytic import Calibration

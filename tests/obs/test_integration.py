@@ -137,7 +137,16 @@ class TestDefaultObservability:
 class TestProfiledRun:
     def test_profiler_attributes_modules(self):
         obs = Observability(profile=True)
-        run_workload(get_spec("UMN"), get_workload("VEC", 0.05), obs=obs)
+        with obs.profiled():
+            run_workload(get_spec("UMN"), get_workload("VEC", 0.05), obs=obs)
         report = obs.profiler.report()
         assert report["events"] > 0
-        assert any("repro." in m for m in report["by_module"])
+        assert {"repro.sim", "repro.network", "repro.hmc", "repro.gpu"} <= set(
+            report["by_package"]
+        )
+
+    def test_profiled_is_a_no_op_when_off(self):
+        obs = Observability(trace=True)
+        with obs.profiled():
+            run_workload(get_spec("UMN"), get_workload("VEC", 0.05), obs=obs)
+        assert obs.profiler is None

@@ -1,9 +1,10 @@
-"""Tests for the periodic sampler and the event-loop profiler."""
+"""Tests for the periodic sampler and the self-time profiler."""
 
 import pytest
 
 from repro.errors import MetricError
-from repro.obs import ChromeTracer, EventLoopProfiler, Sampler
+from repro.obs import ChromeTracer, Sampler, SelfTimeProfiler
+from repro.obs.selftime import OTHER, fold_stats, package_of
 from repro.sim.engine import Simulator
 
 
@@ -96,9 +97,9 @@ class TestSampler:
 
 class TestDisabledOverhead:
     def test_no_tracer_records_nothing(self):
-        """With tracer/profiler unset the engine does pure execution."""
+        """With no tracer attached the engine does pure execution."""
         sim = Simulator()
-        assert sim.tracer is None and sim.profiler is None
+        assert sim.tracer is None
         hits = {"n": 0}
         for t in range(100, 1_100, 100):
             sim.at(t, lambda: hits.__setitem__("n", hits["n"] + 1))
@@ -116,29 +117,62 @@ class TestDisabledOverhead:
         assert result.total_ps > 0
 
 
-class TestEventLoopProfiler:
-    def test_attributes_wall_time_by_module(self):
-        sim = Simulator()
-        sim.profiler = EventLoopProfiler()
-        for t in range(100, 600, 100):
-            sim.at(t, lambda: None)
-        sim.run()
-        profiler = sim.profiler
-        assert profiler.events == 5
-        assert profiler.wall_s >= 0.0
+class TestSelfTimeProfiler:
+    def test_package_of(self):
+        import repro.network.network as network
+        import repro.cli as cli
+
+        assert package_of(network.__file__) == "repro.network"
+        assert package_of(cli.__file__) == "repro.cli"
+        assert package_of(pytest.__file__) is None
+        assert package_of("~") is None
+
+    def test_fold_charges_outside_time_to_callers(self):
+        import repro.hmc.vault as vault
+        import repro.network.network as network
+
+        net = (network.__file__, 1, "hop")
+        hmc = (vault.__file__, 1, "serve")
+        helper = ("/usr/lib/python3/heapq.py", 1, "helper")
+        builtin = ("~", 0, "<built-in method _heapq.heappush>")
+        root = ("/usr/lib/python3/runpy.py", 1, "main")
+        stats = {
+            net: (1, 1, 2.0, 2.0, {}),
+            hmc: (1, 1, 1.0, 1.0, {}),
+            # 3 s inside the builtin: 2 s on the network's edge, 1 s on
+            # the stdlib helper's, which hmc called for all its time.
+            builtin: (3, 3, 3.0, 3.0, {
+                net: (2, 2, 2.0, 2.0), helper: (1, 1, 1.0, 1.0),
+            }),
+            helper: (1, 1, 0.5, 1.5, {hmc: (1, 1, 0.5, 1.5)}),
+            root: (1, 1, 0.25, 0.25, {}),  # nobody in repro called it
+        }
+        folded = fold_stats(stats)
+        assert folded == pytest.approx(
+            {"repro.network": 4.0, "repro.hmc": 2.5, OTHER: 0.25}
+        )
+        assert sum(folded.values()) == pytest.approx(6.75)
+
+    def test_running_accumulates_and_disables_on_exception(self):
+        profiler = SelfTimeProfiler()
+        sim = _busy_sim(500)
+        profiler.watch(sim)
+        with profiler.running():
+            sim.run()
+        first = profiler.wall_s
+        assert first > 0 and profiler.events == 5
+        with pytest.raises(RuntimeError):
+            with profiler.running():
+                raise RuntimeError("x")
+        assert profiler.wall_s > first
         report = profiler.report()
         assert report["events"] == 5
-        assert sum(m["events"] for m in report["by_module"].values()) == 5
-        assert "event loop: 5 events" in profiler.render()
+        assert "repro.sim" in report["by_package"]
+        assert 0 < report["folded_s"] <= report["wall_s"] * 1.02
+        assert "exclusive self time by package" in profiler.render()
 
-    def test_propagates_and_still_charges_on_exception(self):
-        sim = Simulator()
-        sim.profiler = EventLoopProfiler()
-
-        def boom():
-            raise RuntimeError("x")
-
-        sim.at(10, boom)
-        with pytest.raises(RuntimeError):
-            sim.run()
-        assert sim.profiler.events == 1
+    def test_nothing_profiled_renders_empty(self):
+        profiler = SelfTimeProfiler()
+        assert profiler.self_seconds() == {}
+        assert profiler.report()["events_per_sec"] == 0.0
+        assert "0 events" in profiler.render()

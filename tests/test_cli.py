@@ -98,6 +98,28 @@ class TestRunCommand:
         ) == 0
         assert "events/s" in capsys.readouterr().out
 
+    def test_profile_folds_exclusive_self_time(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        made = []
+        real_make_obs = cli._make_obs
+
+        def keep_obs(args):
+            made.append(real_make_obs(args))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "_make_obs", keep_obs)
+        assert main(["run", "BP", "--arch", "UMN", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "exclusive self time by package" in out
+        assert "repro.network" in out and "repro.hmc" in out
+        report = made[0].profiler.report()
+        shares = [p["share"] for p in report["by_package"].values()]
+        assert sum(shares) <= 1.0
+        # Self times are exclusive, so their sum reconciles with the
+        # profiled wall; the gap is the profiler's own cost.
+        assert 0.90 <= report["folded_s"] / report["wall_s"] <= 1.02
+
     def test_experiment_with_trace(self, tmp_path, capsys):
         import json
 
@@ -156,13 +178,6 @@ class TestPerfFlags:
         assert main(["fig12", "--cache", str(tmp_path / "c")]) == 0
         cache = exec_runtime.get_default_cache()
         assert cache is not None and cache.path is not None
-
-    def test_bench_json_writes_record(self, tmp_path, capsys):
-        import json
-
-        assert main(["fig12", "--bench-json", str(tmp_path)]) == 0
-        record = json.loads((tmp_path / "BENCH_fig12.json").read_text())
-        assert record["bench"] == "fig12" and record["wall_clock_s"] >= 0
 
     def test_trace_stays_parallel_and_merges(self, tmp_path, capsys):
         import json
@@ -226,6 +241,29 @@ class TestPerfFlags:
         assert summary["ran"] == 1 and summary["events"] == 1000
         out = capsys.readouterr().out
         assert "flight: 1 ran" in out and "runlog ->" in out
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("quota", ["0", "-1"])
+    def test_quota_below_one_is_a_usage_error(self, quota, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--quota", quota])
+        assert exc.value.code == 2
+        assert "--quota needs a job count >= 1" in capsys.readouterr().err
+
+    def test_quota_passes_through_unchanged(self, monkeypatch):
+        import repro.serve.server as server
+
+        seen = {}
+
+        class Stub:
+            def __init__(self, address, **kwargs):
+                seen.update(kwargs)
+                raise server.ConfigError("stop before listening")
+
+        monkeypatch.setattr(server, "SweepServer", Stub)
+        assert main(["serve", "--quota", "1", "--socket", "unused.sock"]) == 2
+        assert seen["quota"] == 1
 
 
 class TestRobustnessFlags:
