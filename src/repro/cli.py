@@ -74,8 +74,8 @@ Observability flags (``run`` and every experiment subcommand):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -87,7 +87,9 @@ from .config import NETWORK_MODELS
 from .errors import ConfigError, SimulationError, SweepError
 from .hmc.sched import SCHEDULERS
 from .exec import (
+    CACHE_DIR_ENV,
     SCHEDULES,
+    CostBook,
     ResultCache,
     auto_jobs,
     cache_max_mb_from_env,
@@ -96,10 +98,10 @@ from .exec import (
     process_cache_stats,
     shutdown_pool,
 )
-from .exec import runtime as exec_runtime
 from .experiments import EXPERIMENTS
-from .obs import Observability, default_observability, make_progress
+from .obs import Observability, make_progress
 from .obs.telemetry import merge_trace_dir, runlog_path, write_runlog
+from .options import RunOptions, current, using
 from .sim import watchdog
 from .system.configs import available_archs, get_spec
 from .system.report import system_report
@@ -313,24 +315,19 @@ def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _install_perf_defaults(args, obs: Optional[Observability] = None):
-    """Install --jobs/--cache/--progress as process-wide sweep defaults.
+def _run_options(args) -> RunOptions:
+    """The :class:`RunOptions` an experiment or ``all`` invocation runs
+    under, built once from its parsed flags.
 
-    Returns ``(obs, trace_dir)``: on a parallel trace-only sweep the
-    parent's bundle is replaced by per-worker job traces collected under
-    ``trace_dir`` (merged by :func:`_merge_sweep_trace` afterwards), so
-    the returned ``obs`` is what the command should actually install.
+    On a parallel trace-only sweep the parent's observability bundle is
+    replaced by per-worker job traces collected under ``trace_dir``
+    (merged by :func:`_merge_sweep_trace` afterwards).
     """
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = jobs_from_env(default=1)
+    obs = _make_obs(args)
+    jobs = args.jobs if args.jobs is not None else jobs_from_env(default=1)
     trace_dir = None
     if obs is not None and jobs > 1:
-        if (
-            getattr(args, "trace", None)
-            and obs.sample_interval_ps == 0
-            and obs.profiler is None
-        ):
+        if args.trace and obs.sample_interval_ps == 0 and obs.profiler is None:
             # Trace-only parallel sweep: every worker records per-job
             # Chrome traces into trace_dir; the parent merges them into
             # one Perfetto timeline after the sweep (docs/observability.md).
@@ -346,25 +343,28 @@ def _install_perf_defaults(args, obs: Optional[Observability] = None):
                 file=sys.stderr,
             )
             jobs = 1
-    exec_runtime.set_default_jobs(jobs)
-    exec_runtime.set_default_fidelity(getattr(args, "fidelity", None))
-    exec_runtime.set_default_scheduler(getattr(args, "scheduler", None))
-    exec_runtime.set_default_schedule(getattr(args, "schedule", "lpt"))
-    exec_runtime.set_default_prefilter(getattr(args, "prefilter", None))
-    exec_runtime.set_default_keep_going(getattr(args, "keep_going", False))
-    exec_runtime.set_default_trace_dir(trace_dir)
-    exec_runtime.set_default_progress(
-        make_progress(getattr(args, "progress", "none"))
+    cache_dir = args.cache
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_DIR_ENV, "").strip() or None
+    cache = (
+        ResultCache(cache_dir or None, max_mb=cache_max_mb_from_env())
+        if cache_dir is not None
+        else None
     )
-    cache_arg = getattr(args, "cache", None)
-    if cache_arg is not None:
-        exec_runtime.set_default_cache(
-            ResultCache(cache_arg or None, max_mb=cache_max_mb_from_env())
-        )
-    watchdog.set_default_limits(
-        getattr(args, "max_events", None), getattr(args, "wall_limit", None)
+    return RunOptions(
+        jobs=jobs,
+        cache=cache,
+        keep_going=args.keep_going,
+        progress=make_progress(args.progress),
+        trace_dir=trace_dir,
+        fidelity=args.fidelity,
+        scheduler=args.scheduler,
+        schedule=args.schedule,
+        prefilter=getattr(args, "prefilter", None),
+        # One book for every experiment of the invocation (``repro all``).
+        costbook=CostBook.for_cache(cache),
+        obs=obs,
     )
-    return obs, trace_dir
 
 
 def _merge_sweep_trace(trace_dir: str, out_path: str) -> None:
@@ -415,12 +415,13 @@ def _run_experiment(
     name: str,
     scale: Optional[float],
     save: Optional[str] = None,
-    obs: Optional[Observability] = None,
     runlog: Optional[str] = None,
 ) -> int:
-    """Run one experiment; returns the exit code (0 ok, 1 fail-fast
-    sweep abort, 3 completed-with-failures under --keep-going)."""
+    """Run one experiment under the scoped :class:`RunOptions`; returns
+    the exit code (0 ok, 1 fail-fast sweep abort, 3 completed-with-
+    failures under --keep-going)."""
     runner = EXPERIMENTS[name]
+    opts = current()
     kwargs = {}
     if scale is not None:
         if name in _SCALED:
@@ -432,10 +433,7 @@ def _run_experiment(
             )
     start = time.time()
     try:
-        if obs is not None:
-            with default_observability(obs), obs.profiled():
-                result = runner(**kwargs)
-        else:
+        with opts.obs.profiled() if opts.obs is not None else nullcontext():
             result = runner(**kwargs)
     except SweepError as exc:
         print(f"error: {name} aborted: {exc}", file=sys.stderr)
@@ -449,8 +447,8 @@ def _run_experiment(
         return 2
     wall = time.time() - start
     print(result.render())
-    jobs = exec_runtime.get_default_jobs() or 1
-    cache = exec_runtime.get_default_cache()
+    jobs = opts.jobs or 1
+    cache = opts.cache
     note = f" with {jobs} workers" if jobs > 1 else ""
     if cache is not None and (cache.stats.hits or cache.stats.misses):
         note += f" ({cache.stats.as_note()})"
@@ -519,14 +517,9 @@ def _run_one(args) -> int:
         print("error: give a workload or --spec FILE.json", file=sys.stderr)
         return 2
     try:
-        cfg = spec.cfg
-        if args.fidelity and cfg.network_model != args.fidelity:
-            cfg = cfg.scaled(network_model=args.fidelity)
-        scheduler = getattr(args, "scheduler", None)
-        if scheduler and cfg.hmc.scheduler != scheduler:
-            cfg = cfg.scaled(
-                hmc=dataclasses.replace(cfg.hmc, scheduler=scheduler)
-            )
+        cfg = RunOptions(fidelity=args.fidelity, scheduler=args.scheduler).apply(
+            spec.cfg
+        )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -798,65 +791,47 @@ def _dispatch(args) -> int:
         from .serve.client import client_command
 
         return client_command(args)
-    if args.command == "all":
-        obs, trace_dir = _install_perf_defaults(args, _make_obs(args))
-        rc = 0
-        try:
-            for name in EXPERIMENTS:
-                if name == "fig17":
-                    continue  # shares the fig16 sweep
-                rc = max(
-                    rc,
-                    _run_experiment(
-                        name,
-                        args.scale,
-                        obs=obs,
-                        runlog=_runlog_dir(args),
-                    ),
-                )
-                print()
-            # One warm pool serves the whole run; spawns > 1 means worker
-            # deaths or a limits change forced respawns along the way.
-            if (exec_runtime.get_default_jobs() or 1) > 1 and pool_spawns():
-                print(f"[pool: {pool_spawns()} spawn(s) across {len(EXPERIMENTS)} experiments]")
-        except BaseException:
-            # An interrupt or crash mid-sweep: the workers may be minutes
-            # deep in their current simulations, and a graceful shutdown
-            # here would both strand them *and* disarm the interrupt
-            # handler's kill (discard clears the pool reference, making
-            # the later shutdown_pool(kill=True) a no-op).  Kill now.
-            shutdown_pool(kill=True)
-            raise
-        finally:
-            shutdown_pool()
-        if trace_dir is not None:
-            _merge_sweep_trace(trace_dir, args.trace)
-        else:
-            _finish_obs(obs, args)
-        return rc
     if args.command == "run":
         return _run_one(args)
-    obs, trace_dir = _install_perf_defaults(args, _make_obs(args))
+    opts = _run_options(args)
+    watchdog.set_default_limits(args.max_events, args.wall_limit)
     try:
-        rc = _run_experiment(
-            args.command,
-            args.scale,
-            args.save,
-            obs=obs,
-            runlog=_runlog_dir(args),
-        )
+        with using(opts):
+            if args.command == "all":
+                rc = _run_all(args)
+            else:
+                rc = _run_experiment(
+                    args.command, args.scale, args.save, runlog=_runlog_dir(args)
+                )
     except BaseException:
-        # Same as the `all` path: a graceful teardown on the interrupt/
-        # crash path would strand busy workers and turn the CLI handler's
-        # shutdown_pool(kill=True) into a no-op.
+        # An interrupt or crash mid-sweep: the workers may be minutes
+        # deep in their current simulations, and a graceful shutdown
+        # here would both strand them *and* disarm the interrupt
+        # handler's kill (discard clears the pool reference, making
+        # the later shutdown_pool(kill=True) a no-op).  Kill now.
         shutdown_pool(kill=True)
         raise
     finally:
         shutdown_pool()
-    if trace_dir is not None:
-        _merge_sweep_trace(trace_dir, args.trace)
+    if opts.trace_dir is not None:
+        _merge_sweep_trace(opts.trace_dir, args.trace)
     else:
-        _finish_obs(obs, args)
+        _finish_obs(opts.obs, args)
+    return rc
+
+
+def _run_all(args) -> int:
+    """The ``all`` subcommand: every experiment, one warm pool."""
+    rc = 0
+    for name in EXPERIMENTS:
+        if name == "fig17":
+            continue  # shares the fig16 sweep
+        rc = max(rc, _run_experiment(name, args.scale, runlog=_runlog_dir(args)))
+        print()
+    # One warm pool serves the whole run; spawns > 1 means worker
+    # deaths or a limits change forced respawns along the way.
+    if (current().jobs or 1) > 1 and pool_spawns():
+        print(f"[pool: {pool_spawns()} spawn(s) across {len(EXPERIMENTS)} experiments]")
     return rc
 
 

@@ -34,6 +34,7 @@ report (see docs/robustness.md).
 """
 
 from .cache import (
+    CACHE_DIR_ENV,
     CACHE_MAX_MB_ENV,
     CacheStats,
     ResultCache,
@@ -47,6 +48,7 @@ from .executor import (
     JOBS_ENV,
     SweepExecutor,
     auto_jobs,
+    default_executor,
     jobs_from_env,
     pool_spawns,
     shutdown_pool,
@@ -68,31 +70,6 @@ from .planner import (
     lpt_order,
     predict_costs,
     prefilter_jobs,
-)
-from .runtime import (
-    CACHE_DIR_ENV,
-    default_executor,
-    get_default_cache,
-    get_default_costbook,
-    get_default_fidelity,
-    get_default_jobs,
-    get_default_keep_going,
-    get_default_prefilter,
-    get_default_progress,
-    get_default_schedule,
-    get_default_scheduler,
-    get_default_trace_dir,
-    set_default_cache,
-    set_default_costbook,
-    set_default_fidelity,
-    set_default_jobs,
-    set_default_keep_going,
-    set_default_prefilter,
-    set_default_progress,
-    set_default_schedule,
-    set_default_scheduler,
-    set_default_trace_dir,
-    sweep_defaults,
 )
 
 __all__ = [
@@ -117,16 +94,6 @@ __all__ = [
     "code_version",
     "default_executor",
     "execute_job",
-    "get_default_cache",
-    "get_default_costbook",
-    "get_default_fidelity",
-    "get_default_jobs",
-    "get_default_keep_going",
-    "get_default_prefilter",
-    "get_default_progress",
-    "get_default_schedule",
-    "get_default_scheduler",
-    "get_default_trace_dir",
     "job_fingerprint",
     "job_key",
     "jobs_from_env",
@@ -135,16 +102,5 @@ __all__ = [
     "predict_costs",
     "prefilter_jobs",
     "process_cache_stats",
-    "set_default_cache",
-    "set_default_costbook",
-    "set_default_fidelity",
-    "set_default_jobs",
-    "set_default_keep_going",
-    "set_default_prefilter",
-    "set_default_progress",
-    "set_default_schedule",
-    "set_default_scheduler",
-    "set_default_trace_dir",
     "shutdown_pool",
-    "sweep_defaults",
 ]

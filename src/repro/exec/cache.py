@@ -54,6 +54,10 @@ from .jobs import SweepJob
 #:    RunResult grew per-requester-class service aggregates.
 CACHE_SCHEMA = 4
 
+#: Environment variable naming a persistent cache directory (the CLI's
+#: fallback when ``--cache`` is not given).
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
 #: Environment variable capping the cache footprint in megabytes
 #: (applied to both the in-memory map and the on-disk directory).
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"

@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ConfigError, SweepError
 from ..obs.telemetry import JobTelemetry, ProgressListener
+from ..options import current
 from ..sim import watchdog
 from ..system.metrics import RunResult
 from .cache import ResultCache
@@ -550,3 +551,18 @@ class SweepExecutor:
         cache = "on" if self.cache is not None else "off"
         mode = "keep-going" if self.keep_going else "fail-fast"
         return f"SweepExecutor(jobs={self.jobs}, cache={cache}, {mode})"
+
+
+def default_executor() -> SweepExecutor:
+    """The executor an experiment uses when not handed one: built from
+    the scoped :class:`~repro.options.RunOptions`."""
+    opts = current()
+    return SweepExecutor(
+        jobs=opts.jobs,
+        cache=opts.cache,
+        keep_going=opts.keep_going,
+        progress=opts.progress,
+        trace_dir=opts.trace_dir,
+        schedule=opts.schedule,
+        costbook=opts.costbook,
+    )

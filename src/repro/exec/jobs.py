@@ -209,11 +209,12 @@ def execute_job(job: SweepJob) -> JobOutcome:
 def _worker_initializer(watchdog_limits: Tuple[Optional[int], Optional[float]] = (None, None)) -> None:
     """Executed once in every pool worker.
 
-    Workers inherit the parent's process state on fork; any ambient
-    observability default would silently accumulate trace events that never
-    flow back, so drop it.  The parent's watchdog limits (``--max-events``
-    / ``--wall-limit``) are installed explicitly so they also hold under
-    spawn-based start methods.
+    Workers inherit the parent's process state on fork, scoped
+    :class:`~repro.options.RunOptions` included; its observability
+    bundle would silently accumulate trace events that never flow back,
+    so the worker starts from the defaults.  The parent's watchdog limits
+    (``--max-events`` / ``--wall-limit``) are installed explicitly so
+    they also hold under spawn-based start methods.
 
     The initializer also pre-imports the heavy modules every packet/flit
     job needs (system builder/runner, the workload suite, the topology
@@ -223,7 +224,7 @@ def _worker_initializer(watchdog_limits: Tuple[Optional[int], Optional[float]] =
     """
     import signal
 
-    from ..obs import runtime as obs_runtime
+    from .. import options
     from ..sim import watchdog
 
     # The serving daemon maps SIGTERM to KeyboardInterrupt so `kill`
@@ -232,7 +233,7 @@ def _worker_initializer(watchdog_limits: Tuple[Optional[int], Optional[float]] =
     # terminated.  A worker has no shutdown of its own — default kill.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
-    obs_runtime.set_default(None)
+    options.reset()
     watchdog.set_default_limits(*watchdog_limits)
 
     from ..network import topologies  # noqa: F401

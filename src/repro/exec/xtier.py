@@ -46,10 +46,11 @@ from ..analytic import (
 from ..analytic.calibrate import PATH_ENV, STALE_DRIFT, resolve_path
 from ..config import SystemConfig
 from ..errors import SimulationError
+from ..options import RunOptions, current, using
 from ..system.spec import WorkloadRef
 from .cache import ResultCache, job_key
+from .executor import default_executor
 from .jobs import SweepJob
-from .runtime import default_executor, sweep_defaults
 
 #: Figures the harness validates (the committed artifact carries one
 #: :class:`~repro.analytic.calibrate.FigureReference` per entry).
@@ -161,10 +162,9 @@ def run_figure_rows(
     from ..experiments import EXPERIMENTS
 
     kwargs: Dict[str, Any] = {} if figure == "fig7" else {"scale": scale}
-    with sweep_defaults(fidelity=fidelity):
-        result = EXPERIMENTS[figure](
-            executor=executor or default_executor(), **kwargs
-        )
+    executor = executor or default_executor()
+    with using(dataclasses.replace(current(), fidelity=fidelity)):
+        result = EXPERIMENTS[figure](executor=executor, **kwargs)
     if result.failures:
         raise SimulationError(
             f"{figure} at {fidelity} fidelity had "
@@ -377,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.environ[PATH_ENV] = args.artifact
     cache = ResultCache(args.cache) if args.cache else None
-    with sweep_defaults(jobs=args.jobs, cache=cache):
+    with using(RunOptions(jobs=args.jobs, cache=cache)):
         if args.recalibrate:
             report = recalibrate(args.figures, args.scale, path)
         else:

@@ -4,7 +4,6 @@ sweep-job construction from canonical specs."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
@@ -14,12 +13,8 @@ from ..config import SystemConfig
 from ..exec.executor import SweepExecutor
 from ..exec.jobs import JobFailure, SweepJob
 from ..exec.planner import prefilter_jobs
-from ..exec.runtime import (
-    get_default_fidelity,
-    get_default_prefilter,
-    get_default_scheduler,
-)
 from ..obs.telemetry import JobTelemetry, flight_summary
+from ..options import current
 from ..system.configs import ArchSpec, get_spec
 from ..system.metrics import RunResult
 from ..system.spec import SystemSpec, WorkloadRef
@@ -171,36 +166,20 @@ def job_for(
     :class:`WorkloadRef` at ``scale``) or an explicit ref.  Keyword
     arguments become the job's ``run_kwargs``.
 
-    An installed fidelity default (the CLI's ``--fidelity`` /
-    ``sweep_defaults(fidelity=...)``) overrides the config's
-    ``network_model`` here — the single choke point every experiment's
-    jobs flow through — so a whole figure can be re-run at another tier
-    without the runner knowing.  An installed vault-scheduler default
-    (``--scheduler`` / ``sweep_defaults(scheduler=...)``) overrides
-    ``hmc.scheduler`` the same way; combining it with the analytic tier
-    raises :class:`~repro.errors.ConfigError` at construction (the
-    analytic model is FR-FCFS-calibrated only).
+    The scoped :class:`~repro.options.RunOptions` (the CLI's
+    ``--fidelity`` / ``--scheduler``) override the config's
+    ``network_model`` and ``hmc.scheduler`` here — the single choke
+    point every experiment's jobs flow through — so a whole figure can
+    be re-run at another tier or policy without the runner knowing.
+    Combining a non-default scheduler with the analytic tier raises
+    :class:`~repro.errors.ConfigError` at construction (the analytic
+    model is FR-FCFS-calibrated only).
     """
     if isinstance(arch, str):
         arch = get_spec(arch)
     if isinstance(workload, str):
         workload = WorkloadRef(workload, scale)
-    fidelity = get_default_fidelity()
-    if fidelity is not None:
-        base = cfg if cfg is not None else SystemConfig()
-        if base.network_model != fidelity:
-            cfg = base.scaled(network_model=fidelity)
-        else:
-            cfg = base
-    scheduler = get_default_scheduler()
-    if scheduler is not None:
-        base = cfg if cfg is not None else SystemConfig()
-        if base.hmc.scheduler != scheduler:
-            cfg = base.scaled(
-                hmc=dataclasses.replace(base.hmc, scheduler=scheduler)
-            )
-        else:
-            cfg = base
+    cfg = current().apply(cfg)
     return SweepJob(
         system=SystemSpec.make(arch, workload, cfg, **run_kwargs), tag=tag
     )
@@ -223,8 +202,8 @@ def run_jobs(
     :class:`~repro.errors.SweepError` instead, after completed results
     were salvaged into the cache.
 
-    When a prefilter ratio is active (argument, else the installed
-    ``--prefilter`` default), clearly-dominated points are skipped before
+    When a prefilter ratio is active (argument, else the scoped
+    ``--prefilter`` option), clearly-dominated points are skipped before
     submission: their slots return ``None``, each gets a
     ``source="pruned"`` telemetry record, and one result note lists every
     pruned point — a pruned point is always visible, never silently
@@ -233,7 +212,7 @@ def run_jobs(
     ``ext-*`` experiments alone.
     """
     jobs = list(jobs)
-    ratio = prefilter if prefilter is not None else get_default_prefilter()
+    ratio = prefilter if prefilter is not None else current().prefilter
     keep = list(range(len(jobs)))
     pruned: List[Dict[str, Any]] = []
     if ratio is not None:

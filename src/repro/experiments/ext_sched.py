@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor, WorkloadRef, default_executor
-from ..exec.runtime import get_default_scheduler
+from ..options import current
 from .common import ExperimentResult, job_for, run_jobs
 
 DEFAULT_POLICIES: Sequence[str] = ("frfcfs", "fcfs", "frfcfs_cap", "qos_staged")
@@ -61,7 +61,7 @@ def run(
             "the heterogeneous memory-scheduler literature"
         ),
     )
-    installed = get_default_scheduler()
+    installed = current().scheduler
     if installed is not None:
         # --scheduler pins the whole invocation to one policy; sweeping
         # the full registry underneath it would silently contradict the

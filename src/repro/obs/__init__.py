@@ -24,7 +24,6 @@ from .bind import (
     register_system_metrics,
 )
 from .registry import Counter, Gauge, Histogram, MetricRegistry
-from .runtime import default_observability, get_default, set_default
 from .sampler import Sampler
 from .selftime import SelfTimeProfiler
 from .telemetry import (
@@ -55,15 +54,12 @@ __all__ = [
     "Sampler",
     "SelfTimeProfiler",
     "TtyProgress",
-    "default_observability",
     "flight_summary",
-    "get_default",
     "install_default_probes",
     "make_progress",
     "merge_trace_dir",
     "merge_traces",
     "register_system_metrics",
-    "set_default",
     "write_runlog",
     "write_worker_trace",
 ]

@@ -46,10 +46,10 @@ from ..hmc.hmc import HMC
 from ..mem import MemoryAccess
 from ..network.channel import Channel
 from ..network.network import MemoryNetwork
-from ..obs import runtime as obs_runtime
 from ..obs.bind import Observability, register_system_metrics
 from ..obs.registry import MetricRegistry
 from ..obs.sampler import Sampler
+from ..options import current
 from ..pcie.pcie import PCIeSwitch
 from ..pcn.pcn import PCNFabric as PCNLinks
 from ..sim.engine import Simulator
@@ -117,7 +117,7 @@ class MultiGPUSystem:
         register_system_metrics(self.metrics, self)
         #: Set by Observability.bind() when periodic sampling is enabled.
         self.sampler: Optional[Sampler] = None
-        self.obs = obs if obs is not None else obs_runtime.get_default()
+        self.obs = obs if obs is not None else current().obs
         if self.obs is not None:
             self.obs.bind(self)
 

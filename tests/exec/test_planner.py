@@ -23,10 +23,10 @@ from repro.exec import (
     pool_spawns,
     prefilter_jobs,
     shutdown_pool,
-    sweep_defaults,
 )
 from repro.exec.planner import COSTBOOK_NAME, CostPrediction
 from repro.experiments.common import ExperimentResult, job_for, run_jobs
+from repro.options import RunOptions, using
 from repro.system.configs import get_spec
 
 from tests.conftest import tiny_system_config
@@ -296,7 +296,7 @@ def test_run_jobs_prefilter_telemetry_and_note():
         _job("VEC", scale=1.0, tag="VEC-large"),
     ]
     result = ExperimentResult(experiment="x", title="x")
-    with sweep_defaults(prefilter=2.0):
+    with using(RunOptions(prefilter=2.0)):
         results = run_jobs(jobs, SweepExecutor(jobs=1), result)
     assert results[0] is not None and results[1] is None
     sources = [t.source for t in result.telemetry]

@@ -1,4 +1,4 @@
-"""SweepExecutor: ordering, env fallback, cache integration, runtime defaults."""
+"""SweepExecutor: ordering, env fallback, cache integration, scoped options."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from repro.exec import (
     default_executor,
     execute_job,
     jobs_from_env,
-    sweep_defaults,
 )
+from repro.options import RunOptions, current, using
 from repro.system.configs import get_spec
 
 from tests.conftest import tiny_system_config
@@ -104,29 +104,27 @@ def test_execute_job_applies_run_kwargs():
     assert outcome.ok and outcome.result.workload == "vectorAdd"
 
 
-def test_sweep_defaults_scopes_executor():
+def test_scoped_options_build_the_default_executor():
     cache = ResultCache()
-    with sweep_defaults(jobs=2, cache=cache):
+    with using(RunOptions(jobs=2, cache=cache)):
         ex = default_executor()
         assert ex.jobs == 2 and ex.cache is cache
     assert default_executor().cache is not cache
 
 
-def test_sweep_defaults_scopes_scheduler():
-    from repro.errors import ConfigError
-    from repro.exec.runtime import get_default_scheduler, set_default_scheduler
+def test_scoped_scheduler_reaches_job_for():
     from repro.experiments.common import job_for
 
-    assert get_default_scheduler() is None
-    with sweep_defaults(scheduler="qos_staged"):
-        assert get_default_scheduler() == "qos_staged"
+    assert current().scheduler is None
+    with using(RunOptions(scheduler="qos_staged")):
+        assert current().scheduler == "qos_staged"
         job = job_for("GMN", WorkloadRef("VEC", 0.05))
         assert job.cfg.hmc.scheduler == "qos_staged"
-    assert get_default_scheduler() is None
+    assert current().scheduler is None
     assert job_for("GMN", WorkloadRef("VEC", 0.05)).cfg.hmc.scheduler == "frfcfs"
 
     with pytest.raises(ConfigError, match="unknown scheduler"):
-        set_default_scheduler("bogus")
+        RunOptions(scheduler="bogus")
 
 
 def test_workload_ref_factory_roundtrip():

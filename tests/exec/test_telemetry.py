@@ -23,7 +23,6 @@ from repro.exec import (
     execute_job,
     process_cache_stats,
 )
-from repro.exec import runtime as exec_runtime
 from repro.obs.telemetry import (
     JobTelemetry,
     JsonlProgress,
@@ -36,6 +35,7 @@ from repro.obs.telemetry import (
     runlog_path,
     write_runlog,
 )
+from repro.options import RunOptions, using
 from repro.system.configs import get_spec
 
 from tests.conftest import tiny_system_config
@@ -340,10 +340,12 @@ def test_merge_traces_empty_is_valid(tmp_path):
 # Byte identity: telemetry must never perturb the science
 # ----------------------------------------------------------------------
 def _with_full_telemetry(tmp_path, run_fn):
-    with exec_runtime.sweep_defaults(
-        jobs=2,
-        progress=JsonlProgress(io.StringIO()),
-        trace_dir=str(tmp_path),
+    with using(
+        RunOptions(
+            jobs=2,
+            progress=JsonlProgress(io.StringIO()),
+            trace_dir=str(tmp_path),
+        )
     ):
         return run_fn()
 

@@ -1,7 +1,7 @@
 """Smoke tests for the ext-sched policy sweep."""
 
-from repro.exec import sweep_defaults
 from repro.experiments import EXPERIMENTS, ext_sched
+from repro.options import RunOptions, using
 from tests.conftest import tiny_system_config
 
 EXPECTED_COLUMNS = {
@@ -52,7 +52,7 @@ class TestExtSched:
     def test_respects_installed_scheduler_default(self):
         # Under `--scheduler X` the sweep collapses to that one policy
         # rather than silently overriding the flag per grid point.
-        with sweep_defaults(scheduler="fcfs"):
+        with using(RunOptions(scheduler="fcfs")):
             res = _tiny_sweep(archs=("UMN",))
         assert {r["scheduler"] for r in res.rows} == {"fcfs"}
         assert any("--scheduler fcfs" in n for n in res.notes)

@@ -12,7 +12,7 @@ from repro import (
     run_workload_detailed,
     system_report,
 )
-from repro.obs import runtime
+from repro.options import RunOptions, current, using
 
 
 class TestSystemMetricsTree:
@@ -118,15 +118,15 @@ class TestSampledRun:
 class TestDefaultObservability:
     def test_runtime_default_binds_new_systems(self):
         obs = Observability(trace=True)
-        with runtime.default_observability(obs):
+        with using(RunOptions(obs=obs)):
             run_workload(get_spec("UMN"), get_workload("VEC", 0.05))
-        assert runtime.get_default() is None
+        assert current().obs is None
         assert obs.tracer.num_events > 0
 
     def test_explicit_obs_wins_over_default(self):
         fallback = Observability(trace=True)
         explicit = Observability(trace=True)
-        with runtime.default_observability(fallback):
+        with using(RunOptions(obs=fallback)):
             run_workload(
                 get_spec("UMN"), get_workload("VEC", 0.05), obs=explicit
             )

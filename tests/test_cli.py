@@ -143,61 +143,86 @@ class TestRunCommand:
             main(["run", "KMN", "--arch", "NVLINK"])
 
 
+def _capture_options(monkeypatch, name="fig12"):
+    """Wrap an experiment runner to record the RunOptions the invocation
+    scoped around it."""
+    from repro.options import current
+
+    seen = []
+    runner = EXPERIMENTS[name]
+
+    def wrapped(**kwargs):
+        seen.append(current())
+        return runner(**kwargs)
+
+    monkeypatch.setitem(EXPERIMENTS, name, wrapped)
+    return seen
+
+
 class TestPerfFlags:
-    @pytest.fixture(autouse=True)
-    def _reset_exec_defaults(self):
-        from repro.exec import runtime as exec_runtime
-
-        yield
-        exec_runtime.set_default_jobs(None)
-        exec_runtime.set_default_cache(None)
-        exec_runtime.set_default_progress(None)
-        exec_runtime.set_default_trace_dir(None)
-
-    def test_jobs_flag_installs_default(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
+    def test_jobs_flag_installs_default(self, capsys, monkeypatch):
+        seen = _capture_options(monkeypatch)
         assert main(["fig12", "--jobs", "2"]) == 0
-        assert exec_runtime.get_default_jobs() == 2
+        assert seen[0].jobs == 2
 
     def test_jobs_rejects_zero(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig12", "--jobs", "0"])
         assert "worker count" in capsys.readouterr().err
 
-    def test_cache_flag_installs_memory_cache(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
+    def test_cache_flag_installs_memory_cache(self, capsys, monkeypatch):
+        seen = _capture_options(monkeypatch)
         assert main(["fig12", "--cache"]) == 0
-        cache = exec_runtime.get_default_cache()
+        cache = seen[0].cache
         assert cache is not None and cache.path is None
 
-    def test_cache_flag_with_dir(self, tmp_path, capsys):
-        from repro.exec import runtime as exec_runtime
-
+    def test_cache_flag_with_dir(self, tmp_path, capsys, monkeypatch):
+        seen = _capture_options(monkeypatch)
         assert main(["fig12", "--cache", str(tmp_path / "c")]) == 0
-        cache = exec_runtime.get_default_cache()
+        cache = seen[0].cache
         assert cache is not None and cache.path is not None
 
-    def test_trace_stays_parallel_and_merges(self, tmp_path, capsys):
+    def test_cache_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
+        seen = _capture_options(monkeypatch)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        assert main(["fig12"]) == 0
+        assert seen[0].cache.path == tmp_path / "env"
+
+    def test_trace_stays_parallel_and_merges(self, tmp_path, capsys, monkeypatch):
         import json
 
-        from repro.exec import runtime as exec_runtime
-
+        seen = _capture_options(monkeypatch)
         trace = tmp_path / "t.json"
         assert main(["fig12", "--jobs", "2", "--trace", str(trace)]) == 0
         # A trace-only sweep no longer forces serial execution: workers
         # record per-job traces and the parent merges them.
-        assert exec_runtime.get_default_jobs() == 2
+        assert seen[0].jobs == 2
+        assert seen[0].trace_dir is not None and seen[0].obs is None
         assert "merged" in capsys.readouterr().out
         assert "traceEvents" in json.loads(trace.read_text())
 
-    def test_in_process_obs_flags_force_serial(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
+    def test_in_process_obs_flags_force_serial(self, capsys, monkeypatch):
+        seen = _capture_options(monkeypatch)
         assert main(["fig12", "--jobs", "2", "--timeseries"]) == 0
         assert "running serially" in capsys.readouterr().err
-        assert exec_runtime.get_default_jobs() == 1
+        assert seen[0].jobs == 1 and seen[0].obs is not None
+
+    def test_options_end_with_the_invocation(self, tmp_path, capsys):
+        # A cached analytic run must not leak its cache or tier into the
+        # next invocation in the same process.
+        cache = tmp_path / "c"
+        assert main(
+            ["fig14", "--scale", "0.02", "--cache", str(cache),
+             "--fidelity", "analytic"]
+        ) == 0
+        before = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+        assert before
+        capsys.readouterr()
+        assert main(["fig14", "--scale", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == before
+        assert "cache:" not in out
+        assert "[flight: 98 ran, 0 cached" in out
 
     def test_progress_jsonl_streams_and_writes_runlog(
         self, tmp_path, capsys, monkeypatch
@@ -268,21 +293,16 @@ class TestServeFlags:
 
 class TestRobustnessFlags:
     @pytest.fixture(autouse=True)
-    def _reset_defaults(self):
-        from repro.exec import runtime as exec_runtime
+    def _reset_watchdog(self):
         from repro.sim import watchdog
 
         yield
-        exec_runtime.set_default_jobs(None)
-        exec_runtime.set_default_cache(None)
-        exec_runtime.set_default_keep_going(False)
         watchdog.set_default_limits(None, None)
 
-    def test_keep_going_flag_installs_default(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
+    def test_keep_going_flag_installs_default(self, capsys, monkeypatch):
+        seen = _capture_options(monkeypatch)
         assert main(["fig12", "--keep-going"]) == 0
-        assert exec_runtime.get_default_keep_going() is True
+        assert seen[0].keep_going is True
 
     def test_watchdog_flags_install_defaults(self, capsys):
         from repro.sim import watchdog
@@ -343,13 +363,6 @@ class TestRobustnessFlags:
 
 
 class TestSchedulerFlag:
-    @pytest.fixture(autouse=True)
-    def _reset_defaults(self):
-        from repro.exec import runtime as exec_runtime
-
-        yield
-        exec_runtime.set_default_scheduler(None)
-
     def test_run_accepts_registered_policy(self, capsys):
         assert main(
             ["run", "VEC", "--arch", "UMN", "--scale", "0.1",
@@ -372,11 +385,27 @@ class TestSchedulerFlag:
         assert rc == 2
         assert "analytic tier" in capsys.readouterr().err
 
-    def test_experiment_flag_installs_sweep_default(self, capsys):
-        from repro.exec import runtime as exec_runtime
+    def test_dump_spec_matches_job_for(self, tmp_path, capsys):
+        from repro.experiments.common import job_for
+        from repro.options import RunOptions, using
+        from repro.system.spec import SystemSpec
 
+        path = tmp_path / "spec.json"
+        assert main(
+            ["run", "KMN", "--arch", "GMN", "--scale", "0.1",
+             "--fidelity", "flit", "--scheduler", "fcfs",
+             "--dump-spec", str(path)]
+        ) == 0
+        with using(RunOptions(fidelity="flit", scheduler="fcfs")):
+            job = job_for("GMN", "KMN", scale=0.1)
+        assert job.cfg.network_model == "flit"
+        assert job.cfg.hmc.scheduler == "fcfs"
+        assert SystemSpec.load(str(path)).to_dict() == job.system.to_dict()
+
+    def test_experiment_flag_installs_sweep_default(self, capsys, monkeypatch):
+        seen = _capture_options(monkeypatch)
         assert main(["fig12", "--scheduler", "frfcfs_cap"]) == 0
-        assert exec_runtime.get_default_scheduler() == "frfcfs_cap"
+        assert seen[0].scheduler == "frfcfs_cap"
 
     def test_experiment_analytic_plus_scheduler_exits_2(self, capsys):
         # fig12 runs on the analytic tier by default at tiny scale?  Use
