@@ -5,7 +5,7 @@ Four primitives, usable separately or bundled through
 
 - :class:`MetricRegistry` + :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — the hierarchical metric tree every
-  ``MultiGPUSystem`` exposes as ``system.metrics``;
+  ``MultiGPUSystem`` exposes as ``system.metrics`` (built on first read);
 - :class:`ChromeTracer` — span/event tracing to Chrome trace-event JSON
   (open in Perfetto), hooked in via ``Simulator.tracer``;
 - :class:`Sampler` — periodic snapshots of congestion gauges into

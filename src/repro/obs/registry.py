@@ -1,16 +1,17 @@
 """Hierarchical metric registry: Counter / Gauge / Histogram primitives.
 
 Components register metrics under dotted hierarchical names
-(``gpu0.l1.hits``, ``hmc.c3.0.vault2.queue_depth``) at build time; the
-registry then answers queries over the whole tree (:meth:`MetricRegistry.
-collect` for the nested dict, :meth:`MetricRegistry.as_flat` for a flat
-mapping).  Gauges may wrap a callable so the registry *unifies* the
-existing per-component ``stats`` dataclasses without duplicating their
+(``gpu0.l1.hits``, ``hmc.c3.0.vault2.queue_depth``); the registry then
+answers queries over the whole tree (:meth:`MetricRegistry.collect` for
+the nested dict, :meth:`MetricRegistry.as_flat` for a flat mapping).
+Gauges may wrap a callable so the registry *unifies* the existing
+per-component ``stats`` dataclasses without duplicating their
 bookkeeping: the value is read live from the component when queried.
 
-Names are namespaced like files in directories: a name may not collide
-with an existing metric nor with an interior node of another metric's
-path (``a.b`` and ``a.b.c`` cannot both exist).
+Names are namespaced like files in directories: every dotted segment is
+non-empty (``a..b``, ``c.`` and ``.d`` are rejected), and a name may not
+collide with an existing metric nor with an interior node of another
+metric's path (``a.b`` and ``a.b.c`` cannot both exist).
 """
 
 from __future__ import annotations
@@ -147,15 +148,15 @@ class MetricRegistry:
     # ------------------------------------------------------------------
     def register(self, metric: Metric) -> Metric:
         name = metric.name
-        if not name:
-            raise MetricError("metric name must be non-empty")
+        parts = name.split(".")
+        if "" in parts:
+            raise MetricError(f"metric name {name!r} has an empty segment")
         if name in self._metrics:
             raise MetricError(f"metric {name!r} already registered")
         if name in self._nodes:
             raise MetricError(
                 f"metric {name!r} collides with an interior node of another metric"
             )
-        parts = name.split(".")
         for i in range(1, len(parts)):
             prefix = ".".join(parts[:i])
             if prefix in self._metrics:

@@ -26,13 +26,14 @@ UMN               everything: one unified memory network; CPU requests may
 ================  =======================================================
 
 :class:`MultiGPUSystem` itself only constructs the shared components
-(HMCs, GPUs, CPU, address mapping, metrics) and delegates to the fabric
-the registry hands it — it contains no per-organization branches.
+(HMCs, GPUs, CPU, address mapping; the metric tree on first read) and
+delegates to the fabric the registry hands it — it contains no
+per-organization branches.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
@@ -112,14 +113,23 @@ class MultiGPUSystem:
         self.fabric.build()
         self._wire_ports()
 
-        #: Every component's stats behind one queryable tree (repro.obs).
-        self.metrics = MetricRegistry()
-        register_system_metrics(self.metrics, self)
         #: Set by Observability.bind() when periodic sampling is enabled.
         self.sampler: Optional[Sampler] = None
         self.obs = obs if obs is not None else current().obs
         if self.obs is not None:
             self.obs.bind(self)
+
+    @cached_property
+    def metrics(self) -> MetricRegistry:
+        """Every component's stats behind one queryable tree (repro.obs).
+
+        Built on first read: no code on the per-point path reads it, and
+        its gauges read the live stats, so a tree built after a run
+        reports the same values.  A gauge-name collision raises here.
+        """
+        registry = MetricRegistry()
+        register_system_metrics(registry, self)
+        return registry
 
     # ------------------------------------------------------------------
     # Page table / placement

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import (
+    MultiGPUSystem,
     Observability,
     get_spec,
     get_workload,
@@ -13,6 +14,7 @@ from repro import (
     system_report,
 )
 from repro.options import RunOptions, current, using
+from repro.system.configs import available_archs
 
 
 class TestSystemMetricsTree:
@@ -29,6 +31,43 @@ class TestSystemMetricsTree:
         _, system = run_workload_detailed(get_spec("UMN"), get_workload("VEC", 0.05))
         names = system.metrics.names("hmc")
         assert any(".vault0.queue_depth" in n for n in names)
+
+
+class TestLazyMetricTree:
+    def test_fresh_system_has_no_registry_yet(self):
+        system = MultiGPUSystem(get_spec("UMN"))
+        assert "metrics" not in vars(system)
+
+    def test_first_read_builds_once(self):
+        system = MultiGPUSystem(get_spec("UMN"))
+        first = system.metrics
+        assert "metrics" in vars(system)
+        assert len(first) > 0
+        assert system.metrics is first
+
+    def test_tree_first_read_after_run_equals_component_stats(self):
+        _, system = run_workload_detailed(get_spec("UMN"), get_workload("VEC", 0.05))
+        assert "metrics" not in vars(system)
+        flat = system.metrics.as_flat()
+        for gpu in system.gpus:
+            assert flat[f"{gpu.name}.memory_requests"] == gpu.stats.memory_requests
+            assert flat[f"{gpu.name}.l2.hits"] == gpu.l2.stats.hits
+        for (c, lc), hmc in system.hmcs.items():
+            assert flat[f"hmc.c{c}.{lc}.served"] == hmc.total_served
+            assert flat[f"hmc.c{c}.{lc}.bytes_read"] == hmc.stats.bytes_read
+        stats = system.network.stats
+        assert stats.delivered > 0
+        assert flat["net.injected"] == stats.injected
+        assert flat["net.delivered"] == stats.delivered
+
+    @pytest.mark.parametrize("arch", available_archs())
+    def test_every_arch_builds_its_tree(self, arch):
+        # Gauge names are only checked when the tree is built, so a
+        # collision must still fail here for every organization.
+        system = MultiGPUSystem(get_spec(arch))
+        names = system.metrics.names()
+        assert f"gpu{system.num_gpus - 1}.memory_requests" in names
+        assert any(n.startswith(f"hmc.c{system.cpu_cluster}.") for n in names)
 
 
 class TestTracedRun:

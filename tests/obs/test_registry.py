@@ -106,6 +106,15 @@ class TestRegistry:
         with pytest.raises(MetricError):
             MetricRegistry().counter("")
 
+    @pytest.mark.parametrize("name", ["a..b", "c.", ".d", ".", "e..", "..f"])
+    def test_empty_segment_rejected(self, name):
+        reg = MetricRegistry()
+        with pytest.raises(MetricError, match="empty segment"):
+            reg.counter(name)
+        # A rejected name leaves nothing behind in the tree.
+        assert len(reg) == 0
+        assert reg.collect() == {}
+
     def test_names_prefix_filter(self):
         reg = MetricRegistry()
         reg.counter("gpu0.reads")
