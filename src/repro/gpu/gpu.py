@@ -27,6 +27,7 @@ from ..core.kernel import Access, Kernel
 from ..errors import SimulationError
 from ..mem import AccessType, MemoryAccess
 from ..sim.engine import Simulator
+from ..sim.lazy import LazyComponents
 from .cache import Cache
 from .sm import SM
 
@@ -79,7 +80,10 @@ class GPU:
         self.gpu_id = gpu_id
         self.cfg = cfg or GPUConfig()
         self.name = f"gpu{gpu_id}"
-        self.sms: List[SM] = [SM(sim, self, s, self.cfg) for s in range(self.cfg.num_sms)]
+        #: SM id -> SM, each built when it first receives a CTA.
+        self.sms = LazyComponents(
+            self.cfg.num_sms, partial(SM, sim, self, cfg=self.cfg)
+        )
         self.l2 = Cache(self.cfg.l2, name=f"{self.name}.l2")
         self.stats = GPUStats()
 
@@ -135,22 +139,31 @@ class GPU:
         ctx.resident += 1
         sm.start_cta(cta, ctx.kernel.program(cta), token=ctx)
 
+    def _has_free_slot(self, sm_id: int) -> bool:
+        """Whether SM ``sm_id`` can take a CTA; an unbuilt SM is empty."""
+        sm = self.sms.get(sm_id)
+        return sm is None or sm.has_free_slot
+
     def _fill_all_sms(self) -> None:
         """CTA placement: breadth-first round-robin over SMs (one CTA per
         SM per pass), as hardware CTA dispatchers do — this keeps all SMs
         busy even when this GPU's share of the grid is small."""
+        sms = self.sms
         progress = True
         while progress:
             progress = False
             # Least-loaded SM first, as hardware dispatchers balance load;
-            # ties break by SM id for determinism.
-            for sm in sorted(self.sms, key=lambda s: (s.resident_ctas, s.sm_id)):
-                if not sm.has_free_slot:
+            # ties break by SM id for determinism.  An SM not built yet has
+            # no resident CTAs.
+            resident = {i: sm.resident_ctas for i, sm in sms.items()}
+            order = sorted(range(sms.count), key=lambda i: (resident.get(i, 0), i))
+            for sm_id in order:
+                if not self._has_free_slot(sm_id):
                     continue
                 work = self._next_work()
                 if work is None:
                     return
-                self._start_cta(sm, *work)
+                self._start_cta(sms[sm_id], *work)
                 progress = True
 
     def try_refill(self) -> None:
@@ -175,11 +188,11 @@ class GPU:
             # Work remains (e.g. stealing armed after an empty initial
             # fill, or slots hogged by a concurrent kernel): start it now
             # if a slot is free, otherwise a later CTA retirement pulls it.
-            for sm in self.sms:
-                if sm.has_free_slot:
+            for sm_id in range(self.sms.count):
+                if self._has_free_slot(sm_id):
                     cta = ctx.schedule.next_cta(self.gpu_id)
                     if cta is not None:
-                        self._start_cta(sm, ctx, cta)
+                        self._start_cta(self.sms[sm_id], ctx, cta)
                     break
             return
         ctx.completed = True
@@ -306,8 +319,8 @@ class GPU:
     # Aggregate cache statistics (Section III-B hit-rate claims)
     # ------------------------------------------------------------------
     def l1_hit_rate(self) -> float:
-        hits = sum(sm.l1.stats.hits for sm in self.sms)
-        accesses = sum(sm.l1.stats.accesses for sm in self.sms)
+        hits = sum(sm.l1.stats.hits for sm in self.sms.values())
+        accesses = sum(sm.l1.stats.accesses for sm in self.sms.values())
         return hits / accesses if accesses else 0.0
 
     def l2_hit_rate(self) -> float:

@@ -13,12 +13,13 @@ latency, and the result is returned with the response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..config import HMCConfig
 from ..errors import SimulationError
 from ..mem import AccessType, MemoryAccess
 from ..sim.engine import Simulator
+from ..sim.lazy import LazyComponents
 from .vault import Vault
 
 CompletionCallback = Callable[[MemoryAccess], None]
@@ -49,10 +50,11 @@ class HMC:
         self.sim = sim
         self.cfg = cfg or HMCConfig()
         self.name = name
-        self.vaults: List[Vault] = [
-            Vault(sim, self.cfg, vault_id=v, name=f"{name}.vault{v}")
-            for v in range(self.cfg.num_vaults)
-        ]
+        #: Vault id -> vault, each built when its first access arrives.
+        self.vaults = LazyComponents(
+            self.cfg.num_vaults,
+            lambda v: Vault(sim, self.cfg, vault_id=v, name=f"{name}.vault{v}"),
+        )
         self.stats = HMCStats()
 
     # ------------------------------------------------------------------
@@ -79,13 +81,14 @@ class HMC:
     # ------------------------------------------------------------------
     @property
     def row_hit_rate(self) -> float:
-        served = sum(v.stats.served for v in self.vaults)
-        hits = sum(v.stats.row_hits for v in self.vaults)
+        vaults = self.vaults.values()
+        served = sum(v.stats.served for v in vaults)
+        hits = sum(v.stats.row_hits for v in vaults)
         return hits / served if served else 0.0
 
     @property
     def total_served(self) -> int:
-        return sum(v.stats.served for v in self.vaults)
+        return sum(v.stats.served for v in self.vaults.values())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HMC({self.name}, {self.cfg.num_vaults} vaults)"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ...mem import MemoryAccess
 
@@ -92,12 +92,12 @@ class VaultScheduler:
         raise NotImplementedError
 
     def pick(
-        self, bank_state: BankState, now: int, banks: List["Bank"]
+        self, bank_state: BankState, now: int, banks: Mapping[int, "Bank"]
     ) -> Optional[QueuedRequest]:
         """Select and remove the request to issue at ``now``, if any."""
         raise NotImplementedError
 
-    def horizon(self, now: int, banks: List["Bank"]) -> int:
+    def horizon(self, now: int, banks: Mapping[int, "Bank"]) -> int:
         """Earliest time any queued request's bank could accept an issue."""
         raise NotImplementedError
 
@@ -130,7 +130,7 @@ class FlatQueueScheduler(VaultScheduler):
         raise NotImplementedError
 
     def pick(
-        self, bank_state: BankState, now: int, banks: List["Bank"]
+        self, bank_state: BankState, now: int, banks: Mapping[int, "Bank"]
     ) -> Optional[QueuedRequest]:
         best_idx: Optional[int] = None
         best_key = None
@@ -153,7 +153,7 @@ class FlatQueueScheduler(VaultScheduler):
         bank_state.pop(req.access.decoded.bank, None)
         return req
 
-    def horizon(self, now: int, banks: List["Bank"]) -> int:
+    def horizon(self, now: int, banks: Mapping[int, "Bank"]) -> int:
         return min(
             banks[req.access.decoded.bank].earliest_issue(now)
             for req in self.queue

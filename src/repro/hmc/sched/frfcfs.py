@@ -15,7 +15,7 @@ verbatim moves of the original ``Vault._try_issue`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from .base import BankState, QueuedRequest, VaultScheduler
 
@@ -54,14 +54,14 @@ class FRFCFSScheduler(VaultScheduler):
 
     # ------------------------------------------------------------------
     def pick(
-        self, bank_state: BankState, now: int, banks: List["Bank"]
+        self, bank_state: BankState, now: int, banks: Mapping[int, "Bank"]
     ) -> Optional[QueuedRequest]:
         if self._fast:
             return self._pick_fast(bank_state, now, banks)
         return self._pick_flat(bank_state, now, banks)
 
     def _pick_flat(
-        self, bank_state: BankState, now: int, banks: List["Bank"]
+        self, bank_state: BankState, now: int, banks: Mapping[int, "Bank"]
     ) -> Optional[QueuedRequest]:
         """The FR-FCFS-preferred ready request, by flat queue scan."""
         best_idx: Optional[int] = None
@@ -86,7 +86,7 @@ class FRFCFSScheduler(VaultScheduler):
         return req
 
     def _pick_fast(
-        self, bank_state: BankState, now: int, banks: List["Bank"]
+        self, bank_state: BankState, now: int, banks: Mapping[int, "Bank"]
     ) -> Optional[QueuedRequest]:
         """Bucketed FR-FCFS issue: equivalent to :meth:`_pick_flat`.
 
@@ -132,7 +132,7 @@ class FRFCFSScheduler(VaultScheduler):
         return best_req
 
     # ------------------------------------------------------------------
-    def horizon(self, now: int, banks: List["Bank"]) -> int:
+    def horizon(self, now: int, banks: Mapping[int, "Bank"]) -> int:
         if self._fast:
             return min(
                 banks[bank_id].ready_at

@@ -14,12 +14,13 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from ..config import HMCConfig
 from ..errors import SimulationError
 from ..mem import AccessType, MemoryAccess
 from ..sim.engine import Simulator
+from ..sim.lazy import LazyComponents
 from .dram import Bank
 from .sched import scheduler_for
 from .sched.base import CompletionCallback, QueuedRequest, requester_class
@@ -45,7 +46,12 @@ class VaultStats:
 
 
 class Vault:
-    """One vault: banks + a shared data bus + a scheduled request queue."""
+    """One vault: banks + a shared data bus + a scheduled request queue.
+
+    Like the SMs and vaults of a system, a vault's banks are built on first
+    use (:class:`~repro.sim.lazy.LazyComponents`); an unbuilt bank is an
+    idle bank with no open row.
+    """
 
     def __init__(
         self,
@@ -58,21 +64,14 @@ class Vault:
         self.cfg = cfg
         self.vault_id = vault_id
         self.name = name or f"vault{vault_id}"
-        #: Banks are built on first access: most vaults in a sweep never
-        #: see traffic, and eager construction dominated system build time.
-        self._banks: Optional[List[Bank]] = None
+        #: Bank id -> bank, each built when a request to it is first seen.
+        self.banks = LazyComponents(cfg.banks_per_vault, lambda _: Bank())
         self.sched = scheduler_for(cfg.scheduler)(cfg)
         self.overflow: Deque[QueuedRequest] = collections.deque()
         self.bus_busy_until: int = 0
         self.stats = VaultStats()
         self._kick_at: Optional[int] = None
         self._next_seq = 0
-
-    @property
-    def banks(self) -> List[Bank]:
-        if self._banks is None:
-            self._banks = [Bank() for _ in range(self.cfg.banks_per_vault)]
-        return self._banks
 
     # ------------------------------------------------------------------
     def enqueue(self, access: MemoryAccess, on_done: CompletionCallback) -> None:

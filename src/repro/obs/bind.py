@@ -47,17 +47,17 @@ def register_system_metrics(registry: MetricRegistry, system) -> None:
         registry.gauge(f"{g}.merged_misses", fn=lambda s=stats: s.merged_misses)
         registry.gauge(
             f"{g}.l1.hits",
-            fn=lambda gg=gpu: sum(sm.l1.stats.hits for sm in gg.sms),
+            fn=lambda gg=gpu: sum(sm.l1.stats.hits for sm in gg.sms.values()),
         )
         registry.gauge(
             f"{g}.l1.accesses",
-            fn=lambda gg=gpu: sum(sm.l1.stats.accesses for sm in gg.sms),
+            fn=lambda gg=gpu: sum(sm.l1.stats.accesses for sm in gg.sms.values()),
         )
         registry.gauge(f"{g}.l2.hits", fn=lambda gg=gpu: gg.l2.stats.hits)
         registry.gauge(f"{g}.l2.accesses", fn=lambda gg=gpu: gg.l2.stats.accesses)
         registry.gauge(
             f"{g}.resident_ctas",
-            fn=lambda gg=gpu: sum(sm.resident_ctas for sm in gg.sms),
+            fn=lambda gg=gpu: sum(sm.resident_ctas for sm in gg.sms.values()),
         )
 
     for (cluster, local), hmc in system.hmcs.items():
@@ -66,18 +66,23 @@ def register_system_metrics(registry: MetricRegistry, system) -> None:
         registry.gauge(f"{h}.bytes_read", fn=lambda hh=hmc: hh.stats.bytes_read)
         registry.gauge(f"{h}.bytes_written", fn=lambda hh=hmc: hh.stats.bytes_written)
         registry.gauge(f"{h}.row_hit_rate", fn=lambda hh=hmc: hh.row_hit_rate)
-        for vault in hmc.vaults:
+        # One gauge set per configured vault id; an unbuilt vault reads 0,
+        # and reading its gauges does not build it.
+        vaults = hmc.vaults
+        for v in range(vaults.count):
             registry.gauge(
-                f"{h}.vault{vault.vault_id}.queue_depth",
-                fn=lambda v=vault: v.occupancy,
+                f"{h}.vault{v}.queue_depth",
+                fn=lambda vs=vaults, i=v: vs[i].occupancy if i in vs else 0,
             )
             registry.gauge(
-                f"{h}.vault{vault.vault_id}.overflow_peak",
-                fn=lambda v=vault: v.stats.overflow_peak,
+                f"{h}.vault{v}.overflow_peak",
+                fn=lambda vs=vaults, i=v: vs[i].stats.overflow_peak if i in vs else 0,
             )
             registry.gauge(
-                f"{h}.vault{vault.vault_id}.queue_wait_ps",
-                fn=lambda v=vault: v.stats.total_queue_wait_ps,
+                f"{h}.vault{v}.queue_wait_ps",
+                fn=lambda vs=vaults, i=v: (
+                    vs[i].stats.total_queue_wait_ps if i in vs else 0
+                ),
             )
         # Per requester class (QoS policies): how much service and queue
         # wait each traffic source class accumulated at this cube.
@@ -85,13 +90,14 @@ def register_system_metrics(registry: MetricRegistry, system) -> None:
             registry.gauge(
                 f"{h}.class.{cls}.served",
                 fn=lambda hh=hmc, c=cls: sum(
-                    v.stats.class_served.get(c, 0) for v in hh.vaults
+                    v.stats.class_served.get(c, 0) for v in hh.vaults.values()
                 ),
             )
             registry.gauge(
                 f"{h}.class.{cls}.queue_wait_ps",
                 fn=lambda hh=hmc, c=cls: sum(
-                    v.stats.class_queue_wait_ps.get(c, 0) for v in hh.vaults
+                    v.stats.class_queue_wait_ps.get(c, 0)
+                    for v in hh.vaults.values()
                 ),
             )
 
@@ -114,31 +120,38 @@ def register_system_metrics(registry: MetricRegistry, system) -> None:
 
 def install_default_probes(sampler: Sampler, system) -> None:
     """Arm the standard congestion time series on ``sampler``."""
-    vaults = [v for hmc in system.hmc_list for v in hmc.vaults]
+    hmcs = system.hmc_list
+    # Vaults and SMs are built on first use, so each probe reads the built
+    # ones at sample time; the mean still averages over every configured
+    # vault (an unbuilt one has an empty queue).
+    num_vaults = sum(hmc.vaults.count for hmc in hmcs)
+
+    def vaults():
+        return [v for hmc in hmcs for v in hmc.vaults.values()]
+
+    def sms():
+        return [sm for g in system.gpus for sm in g.sms.values()]
+
     sampler.add(
         "vault.queue_depth.mean",
-        lambda: sum(v.occupancy for v in vaults) / len(vaults) if vaults else 0.0,
+        lambda: sum(v.occupancy for v in vaults()) / num_vaults
+        if num_vaults
+        else 0.0,
     )
     sampler.add(
         "vault.queue_depth.max",
-        lambda: max((v.occupancy for v in vaults), default=0),
+        lambda: max((v.occupancy for v in vaults()), default=0),
     )
     sampler.add(
         "vault.overflow_peak.max",
-        lambda: max((v.stats.overflow_peak for v in vaults), default=0),
+        lambda: max((v.stats.overflow_peak for v in vaults()), default=0),
     )
     sampler.add_delta(
         "vault.queue_wait.ps_per_window",
-        lambda: sum(v.stats.total_queue_wait_ps for v in vaults),
+        lambda: sum(v.stats.total_queue_wait_ps for v in vaults()),
     )
-    sampler.add(
-        "gpu.resident_ctas",
-        lambda: sum(sm.resident_ctas for g in system.gpus for sm in g.sms),
-    )
-    sampler.add(
-        "gpu.outstanding_mem",
-        lambda: sum(sm.outstanding for g in system.gpus for sm in g.sms),
-    )
+    sampler.add("gpu.resident_ctas", lambda: sum(sm.resident_ctas for sm in sms()))
+    sampler.add("gpu.outstanding_mem", lambda: sum(sm.outstanding for sm in sms()))
     if system.network is not None:
         stats = system.network.stats
         sampler.add("net.in_flight", lambda s=stats: s.injected - s.delivered)

@@ -101,12 +101,15 @@ def queue_depth_summary(system) -> str:
     """One-line per-component queue-depth snapshot (duck-typed, like
     :mod:`repro.obs.bind`), embedded in watchdog/deadlock diagnostics."""
     parts = []
-    vaults = [v for hmc in system.hmc_list for v in hmc.vaults]
-    if vaults:
-        depths = [v.occupancy for v in vaults]
-        parts.append(f"vault queues sum={sum(depths)} max={max(depths)}")
-    sms = [sm for gpu in system.gpus for sm in gpu.sms]
-    if sms:
+    # Vaults and SMs are built on first use: an unbuilt one is idle, so the
+    # sums and maxima run over the built ones and read 0 when none is.
+    if system.hmc_list:
+        depths = [
+            v.occupancy for hmc in system.hmc_list for v in hmc.vaults.values()
+        ]
+        parts.append(f"vault queues sum={sum(depths)} max={max(depths, default=0)}")
+    if system.gpus:
+        sms = [sm for gpu in system.gpus for sm in gpu.sms.values()]
         parts.append(
             f"resident CTAs={sum(sm.resident_ctas for sm in sms)}"
             f" outstanding mem={sum(sm.outstanding for sm in sms)}"

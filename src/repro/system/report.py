@@ -16,8 +16,9 @@ from .builder import MultiGPUSystem
 
 
 def _gpu_report(gpu) -> Dict:
-    l1_hits = sum(sm.l1.stats.hits for sm in gpu.sms)
-    l1_total = sum(sm.l1.stats.accesses for sm in gpu.sms)
+    sms = gpu.sms.values()
+    l1_hits = sum(sm.l1.stats.hits for sm in sms)
+    l1_total = sum(sm.l1.stats.accesses for sm in sms)
     return {
         "kernel_launches": gpu.stats.kernel_launches,
         "busy_ps": gpu.stats.busy_ps,
@@ -28,14 +29,15 @@ def _gpu_report(gpu) -> Dict:
         "merged_misses": gpu.stats.merged_misses,
         "l1_hit_rate": round(l1_hits / l1_total, 4) if l1_total else 0.0,
         "l2_hit_rate": round(gpu.l2.stats.hit_rate, 4),
-        "ctas_executed": sum(sm.stats.ctas_executed for sm in gpu.sms),
-        "phases_executed": sum(sm.stats.phases_executed for sm in gpu.sms),
-        "compute_ps": sum(sm.stats.compute_ps for sm in gpu.sms),
+        "ctas_executed": sum(sm.stats.ctas_executed for sm in sms),
+        "phases_executed": sum(sm.stats.phases_executed for sm in sms),
+        "compute_ps": sum(sm.stats.compute_ps for sm in sms),
     }
 
 
 def _hmc_report(hmc) -> Dict:
-    waits = sum(v.stats.total_queue_wait_ps for v in hmc.vaults)
+    vaults = hmc.vaults.values()
+    waits = sum(v.stats.total_queue_wait_ps for v in vaults)
     served = hmc.total_served
     return {
         "reads": hmc.stats.reads,
@@ -45,7 +47,7 @@ def _hmc_report(hmc) -> Dict:
         "bytes_written": hmc.stats.bytes_written,
         "row_hit_rate": round(hmc.row_hit_rate, 4),
         "avg_queue_wait_ps": round(waits / served, 1) if served else 0.0,
-        "overflow_peak": max((v.stats.overflow_peak for v in hmc.vaults), default=0),
+        "overflow_peak": max((v.stats.overflow_peak for v in vaults), default=0),
     }
 
 

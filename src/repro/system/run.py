@@ -205,8 +205,8 @@ def _collect(
     result.peak_pending_events = sim.peak_pending_events
 
     gpus = vgpu.gpus
-    l1_hits = sum(s.l1.stats.hits for g in gpus for s in g.sms)
-    l1_total = sum(s.l1.stats.accesses for g in gpus for s in g.sms)
+    l1_hits = sum(s.l1.stats.hits for g in gpus for s in g.sms.values())
+    l1_total = sum(s.l1.stats.accesses for g in gpus for s in g.sms.values())
     l2_hits = sum(g.l2.stats.hits for g in gpus)
     l2_total = sum(g.l2.stats.accesses for g in gpus)
     result.l1_hit_rate = l1_hits / l1_total if l1_total else 0.0
@@ -215,11 +215,13 @@ def _collect(
 
     served = sum(h.total_served for h in system.hmc_list)
     hits = sum(
-        v.stats.row_hits for h in system.hmc_list for v in h.vaults
+        v.stats.row_hits for h in system.hmc_list for v in h.vaults.values()
     )
     result.hmc_row_hit_rate = hits / served if served else 0.0
+    # Id order, so the per-class dicts' key order is that of the first
+    # vault to serve each class, however the run built them.
     for h in system.hmc_list:
-        for v in h.vaults:
+        for _, v in sorted(h.vaults.items()):
             for cls, count in v.stats.class_served.items():
                 result.class_served[cls] = (
                     result.class_served.get(cls, 0) + count

@@ -82,7 +82,7 @@ class TestKernelExecution:
 
         run_kernel(sim, gpu, program, ctas=12)
         assert sorted(seen) == list(range(12))
-        assert sum(sm.stats.ctas_executed for sm in gpu.sms) == 12
+        assert sum(sm.stats.ctas_executed for sm in gpu.sms.values()) == 12
 
     def test_compute_serializes_within_sm(self):
         sim, gpu, _ = make_gpu(num_sms=1)

@@ -83,15 +83,6 @@ class TestOccupancy:
         # Issued at ready_at (not 0), so completion is later than a free bank.
         assert early_done > T.ps(T.tCL)
 
-    def test_stats(self):
-        bank = Bank()
-        bank.access(1, AccessType.READ, 0, T)
-        bank.access(1, AccessType.READ, bank.ready_at, T)
-        bank.access(2, AccessType.READ, bank.ready_at, T)
-        assert bank.stats.accesses == 3
-        assert bank.stats.hits == 1
-        assert bank.stats.conflicts == 1
-
 
 class TestTimingConfig:
     def test_trc_is_tras_plus_trp(self):

@@ -30,7 +30,8 @@ class TestDispatch:
         dev.access(make_access(vault=5), lambda a: None)
         sim.run()
         assert dev.vaults[5].stats.served == 1
-        assert all(v.stats.served == 0 for i, v in enumerate(dev.vaults) if i != 5)
+        assert set(dev.vaults) == {5}
+        assert all(v.stats.served == 0 for i, v in dev.vaults.items() if i != 5)
 
     def test_vault_out_of_range(self, hmc):
         sim, dev = hmc
