@@ -44,12 +44,12 @@ class Cache:
 
     # ------------------------------------------------------------------
     def _index(self, paddr: int) -> tuple:
-        line = paddr // self.cfg.line_bytes
-        return line % self.num_sets, line // self.num_sets
+        """``(tag, set index)`` of the line holding ``paddr``."""
+        return divmod(paddr // self.cfg.line_bytes, self.num_sets)
 
     def lookup(self, paddr: int, update_lru: bool = True, count: bool = True) -> bool:
         """Probe the cache; returns True on hit."""
-        set_idx, tag = self._index(paddr)
+        tag, set_idx = self._index(paddr)
         entries = self._sets.get(set_idx)
         hit = entries is not None and tag in entries
         if hit and update_lru:
@@ -63,9 +63,11 @@ class Cache:
 
     def fill(self, paddr: int) -> Optional[int]:
         """Insert a line; returns the evicted line's base address, if any."""
-        set_idx, tag = self._index(paddr)
-        entries = self._sets.setdefault(set_idx, collections.OrderedDict())
-        if tag in entries:
+        tag, set_idx = self._index(paddr)
+        entries = self._sets.get(set_idx)
+        if entries is None:
+            entries = self._sets[set_idx] = collections.OrderedDict()
+        elif tag in entries:
             entries.move_to_end(tag)
             return None
         evicted = None
@@ -77,7 +79,7 @@ class Cache:
 
     def evict(self, paddr: int) -> bool:
         """Remove a line if present (atomics, Section III-D)."""
-        set_idx, tag = self._index(paddr)
+        tag, set_idx = self._index(paddr)
         entries = self._sets.get(set_idx)
         if entries is not None and tag in entries:
             del entries[tag]

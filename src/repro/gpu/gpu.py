@@ -29,9 +29,13 @@ from ..mem import AccessType, MemoryAccess
 from ..sim.engine import Simulator
 from ..sim.lazy import LazyComponents
 from .cache import Cache
-from .sm import SM
+from .sm import SM, _CTAContext
 
 MemoryPort = Callable[[MemoryAccess, Callable[[], None]], None]
+
+#: Who waits on one GPU access: the issuing SM, its CTA context (``None``
+#: for a write, which does not block its phase) and the kernel context.
+_Waiter = Tuple[SM, Optional[_CTAContext], Optional["_KernelContext"]]
 
 
 @dataclass
@@ -92,7 +96,11 @@ class GPU:
         self.translate: Callable[[int], int] = lambda vaddr: vaddr
         self.decode = None
 
-        self._mshr_table: Dict[int, List[Tuple[SM, Callable[[], None]]]] = {}
+        #: Line -> waiters of the read miss in flight for it.
+        self._mshr_table: Dict[int, List[_Waiter]] = {}
+        # Completion events carry their waiter; bind the callbacks once.
+        self._access_done_cb = self._access_done
+        self._fill_line_cb = self._fill_line
         self._contexts: List["_KernelContext"] = []
         self._rr_next = 0
 
@@ -122,7 +130,7 @@ class GPU:
         self.stats.kernel_launches += 1
         self._fill_all_sms()
         # A GPU may receive zero CTAs (small grids, Section V-A).
-        self.sim.after(0, partial(self._check_context, ctx))
+        self.sim.after(0, self._check_context, ctx)
 
     def _next_work(self) -> Optional[Tuple["_KernelContext", int]]:
         """Pull the next CTA, round-robin across active kernel contexts."""
@@ -215,9 +223,11 @@ class GPU:
         self,
         sm: SM,
         access: Access,
-        on_done: Callable[[], None],
+        ctx: Optional[_CTAContext],
         token: Optional["_KernelContext"] = None,
     ) -> None:
+        """Serve one SM access; at completion the SM's
+        ``_access_done(ctx)`` runs, then the kernel context's bookkeeping."""
         if access.size > self.cfg.l1.line_bytes:
             raise SimulationError(
                 f"access of {access.size}B exceeds the {self.cfg.l1.line_bytes}B "
@@ -226,35 +236,36 @@ class GPU:
         if token is not None:
             token.inflight += 1
 
-        done = partial(self._access_done, on_done, token)
+        waiter = (sm, ctx, token)
         paddr = self.translate(access.vaddr)
         line = paddr - paddr % self.cfg.l1.line_bytes
         if access.type is AccessType.READ:
-            self._read(sm, line, done)
+            self._read(sm, line, waiter)
         elif access.type is AccessType.WRITE:
-            self._write(sm, paddr, line, access.size, done)
+            self._write(sm, paddr, line, access.size, waiter)
         else:
-            self._atomic(sm, paddr, line, access.size, done)
+            self._atomic(sm, paddr, line, access.size, waiter)
 
-    def _access_done(
-        self, on_done: Callable[[], None], token: Optional["_KernelContext"]
-    ) -> None:
-        on_done()
+    def _access_done(self, waiter: _Waiter) -> None:
+        sm, ctx, token = waiter
+        sm._access_done(ctx)
         if token is not None:
             token.inflight -= 1
             if token.inflight == 0:
                 self._check_context(token)
 
     # -- reads ----------------------------------------------------------
-    def _read(self, sm: SM, line: int, done: Callable[[], None]) -> None:
+    def _read(self, sm: SM, line: int, waiter: _Waiter) -> None:
         self.stats.reads += 1
         if sm.l1.lookup(line):
-            self.sim.after(self.cfg.l1.hit_latency_ps, done)
+            self.sim.after(self.cfg.l1.hit_latency_ps, self._access_done_cb, waiter)
             return
         if self.l2.lookup(line):
             sm.l1.fill(line)
             self.sim.after(
-                self.cfg.l1.hit_latency_ps + self.cfg.l2.hit_latency_ps, done
+                self.cfg.l1.hit_latency_ps + self.cfg.l2.hit_latency_ps,
+                self._access_done_cb,
+                waiter,
             )
             return
         waiters = self._mshr_table.get(line)
@@ -266,42 +277,44 @@ class GPU:
             self.stats.merged_misses += 1
             self.l2.stats.misses -= 1
             self.l2.stats.hits += 1
-            waiters.append((sm, done))
+            waiters.append(waiter)
             return
-        self._mshr_table[line] = [(sm, done)]
+        self._mshr_table[line] = [waiter]
         request = self._make_request(line, self.cfg.l1.line_bytes, AccessType.READ)
         lookup_ps = self.cfg.l1.hit_latency_ps + self.cfg.l2.hit_latency_ps
-        self.sim.after(
-            lookup_ps, partial(self._send, request, partial(self._fill_line, line))
-        )
+        self.sim.after(lookup_ps, self._send_miss, request)
+
+    def _send_miss(self, request: MemoryAccess) -> None:
+        # A read request's address is its line (see _read).
+        self._send(request, partial(self._fill_line_cb, request.paddr))
 
     def _fill_line(self, line: int) -> None:
         """A read miss returned: fill L2, then release every merged waiter."""
         self.l2.fill(line)
-        for waiter_sm, waiter_done in self._mshr_table.pop(line):
-            waiter_sm.l1.fill(line)
-            waiter_done()
+        for waiter in self._mshr_table.pop(line):
+            waiter[0].l1.fill(line)
+            self._access_done(waiter)
 
     # -- writes ---------------------------------------------------------
     def _write(
-        self, sm: SM, paddr: int, line: int, size: int, done: Callable[[], None]
+        self, sm: SM, paddr: int, line: int, size: int, waiter: _Waiter
     ) -> None:
         self.stats.writes += 1
         # Write-through: update on hit, never allocate on miss.
         sm.l1.lookup(line)
         self.l2.lookup(line, count=False)
         request = self._make_request(paddr, size, AccessType.WRITE)
-        self._send(request, done)
+        self._send(request, partial(self._access_done_cb, waiter))
 
     # -- atomics ---------------------------------------------------------
     def _atomic(
-        self, sm: SM, paddr: int, line: int, size: int, done: Callable[[], None]
+        self, sm: SM, paddr: int, line: int, size: int, waiter: _Waiter
     ) -> None:
         self.stats.atomics += 1
         sm.l1.evict(line)
         self.l2.evict(line)
         request = self._make_request(paddr, size, AccessType.ATOMIC)
-        self._send(request, done)
+        self._send(request, partial(self._access_done_cb, waiter))
 
     # -- plumbing ---------------------------------------------------------
     def _make_request(self, paddr: int, size: int, kind: AccessType) -> MemoryAccess:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Deque, Optional, Sequence
 
 from ..config import GPUConfig
@@ -41,7 +40,7 @@ class _CTAContext:
     """Execution state of one resident CTA."""
 
     __slots__ = ("cta_id", "phases", "phase_idx", "waiting", "pending", "token",
-                 "started_ps")
+                 "started_ps", "compute_left")
 
     def __init__(self, cta_id: int, phases: Sequence[Phase], token=None) -> None:
         self.cta_id = cta_id
@@ -56,6 +55,8 @@ class _CTAContext:
         self.pending = False
         #: The GPU-level kernel context this CTA belongs to.
         self.token = token
+        #: Compute time of the current phase not yet reserved on the SM.
+        self.compute_left = 0
 
 
 class SM:
@@ -93,7 +94,7 @@ class SM:
         ctx.started_ps = self.sim.now
         # Schedule instead of running inline so a burst of launches
         # interleaves deterministically through the event queue.
-        self.sim.after(0, partial(self._advance, ctx))
+        self.sim.after(0, self._advance, ctx)
 
     def _advance(self, ctx: _CTAContext) -> None:
         if ctx.phase_idx >= len(ctx.phases):
@@ -125,9 +126,11 @@ class SM:
         self.stats.compute_ps += phase.compute_ps
         self.stats.phases_executed += 1
         ctx.phase_idx += 1
-        self._compute_chunk(ctx, phase.compute_ps)
+        ctx.compute_left = phase.compute_ps
+        self._compute_chunk(ctx)
 
-    def _compute_chunk(self, ctx: _CTAContext, remaining: int) -> None:
+    def _compute_chunk(self, ctx: _CTAContext) -> None:
+        remaining = ctx.compute_left
         if remaining <= 0:
             self._advance(ctx)
             return
@@ -135,7 +138,8 @@ class SM:
         start = max(self.sim.now, self._compute_free)
         end = start + chunk
         self._compute_free = end
-        self.sim.at(end, partial(self._compute_chunk, ctx, remaining - chunk))
+        ctx.compute_left = remaining - chunk
+        self.sim.at(end, self._compute_chunk, ctx)
 
     def _finish_cta(self, ctx: _CTAContext) -> None:
         self._resident -= 1
@@ -166,9 +170,7 @@ class SM:
 
     def _issue(self, access: Access, ctx: Optional[_CTAContext], token) -> None:
         self._outstanding += 1
-        self.gpu.access_memory(
-            self, access, partial(self._access_done, ctx), token=token
-        )
+        self.gpu.access_memory(self, access, ctx, token)
 
     def _access_done(self, ctx: Optional[_CTAContext]) -> None:
         self._outstanding -= 1

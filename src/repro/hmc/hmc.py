@@ -13,16 +13,15 @@ latency, and the result is returned with the response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Optional
 
 from ..config import HMCConfig
 from ..errors import SimulationError
 from ..mem import AccessType, MemoryAccess
 from ..sim.engine import Simulator
 from ..sim.lazy import LazyComponents
+from .sched.base import CompletionCallback
 from .vault import Vault
-
-CompletionCallback = Callable[[MemoryAccess], None]
 
 
 @dataclass
@@ -58,8 +57,11 @@ class HMC:
         self.stats = HMCStats()
 
     # ------------------------------------------------------------------
-    def access(self, access: MemoryAccess, on_done: CompletionCallback) -> None:
-        """Perform a memory access; ``on_done`` fires at data completion."""
+    def access(
+        self, access: MemoryAccess, on_done: CompletionCallback, context: Any = None
+    ) -> None:
+        """Perform a memory access; ``on_done(context)`` fires at data
+        completion (``context`` defaults to the access itself)."""
         if access.decoded is None:
             raise SimulationError(f"{self.name}: access arrived without decoded address")
         vault_id = access.decoded.vault
@@ -76,7 +78,7 @@ class HMC:
             self.stats.bytes_written += access.size
         else:
             self.stats.atomics += 1
-        self.vaults[vault_id].enqueue(access, on_done)
+        self.vaults[vault_id].enqueue(access, on_done, context)
 
     # ------------------------------------------------------------------
     @property

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ...mem import MemoryAccess
 
@@ -39,7 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config -> sched)
     from ...config import HMCConfig
     from ..dram import Bank
 
-CompletionCallback = Callable[[MemoryAccess], None]
+#: Called with the request's ``context`` (by default its access) once the
+#: access's data transfer completes.
+CompletionCallback = Callable[[Any], None]
 
 #: bank id -> (ready_now, open_row), the vault's per-kick snapshot.
 BankState = Dict[int, Tuple[bool, Optional[int]]]
@@ -57,6 +59,8 @@ class QueuedRequest:
     #: — which lets the bucketed fast path reproduce the flat scan's
     #: FR-FCFS tie-break exactly.
     seq: int = 0
+    #: What ``on_done`` is called with at completion.
+    context: Any = None
 
 
 def requester_class(requester: str) -> str:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from ..config import HMCConfig
 from ..errors import SimulationError
@@ -74,11 +73,23 @@ class Vault:
         self._next_seq = 0
 
     # ------------------------------------------------------------------
-    def enqueue(self, access: MemoryAccess, on_done: CompletionCallback) -> None:
-        """Accept a request; it is queued (or buffered on overflow)."""
+    def enqueue(
+        self, access: MemoryAccess, on_done: CompletionCallback, context: Any = None
+    ) -> None:
+        """Accept a request; it is queued (or buffered on overflow).
+
+        ``on_done(context)`` fires at data completion; ``context`` defaults
+        to the access itself.
+        """
         if access.decoded is None:
             raise SimulationError("memory access reached a vault without decode")
-        req = QueuedRequest(access, on_done, self.sim.now, self._next_seq)
+        req = QueuedRequest(
+            access,
+            on_done,
+            self.sim.now,
+            self._next_seq,
+            access if context is None else context,
+        )
         self._next_seq += 1
         if len(self.sched) < self.cfg.vault_queue_entries:
             self.sched.admit(req)
@@ -168,7 +179,7 @@ class Vault:
                 args={"bank": decoded.bank, "row_hit": was_hit},
             )
 
-        self.sim.at(done, partial(req.on_done, access))
+        self.sim.at(done, req.on_done, req.context)
         # A completion frees a queue entry; give the overflow a chance.
         if self.overflow:
             self._schedule_kick(self.sim.now)

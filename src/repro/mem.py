@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
+
+#: ``slots=True`` (Python 3.10+) drops the per-instance ``__dict__``: one
+#: MemoryAccess and one DecodedAddress are built per memory request.
+_DATACLASS_OPTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 class AccessType(enum.Enum):
@@ -18,7 +23,7 @@ class AccessType(enum.Enum):
         return self is AccessType.WRITE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **_DATACLASS_OPTS)
 class DecodedAddress:
     """A physical address decoded through the memory address mapping
     (``RW:CLH:BK:CT:VL:LC:CLL:BY``, Section VI-A)."""
@@ -38,7 +43,7 @@ class DecodedAddress:
 _access_ids = itertools.count()
 
 
-@dataclass
+@dataclass(**_DATACLASS_OPTS)
 class MemoryAccess:
     """One memory transaction as seen by the memory system."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import NetworkConfig
@@ -83,6 +82,12 @@ class MemoryNetwork:
         #: function; see `_destination_router_estimate`).
         self._dst_cache: Dict[Tuple[str, str], int] = {}
         self._dst_cache_version: Optional[int] = None
+        # Hop, chain and delivery events carry the packet as their one
+        # argument; binding the callbacks once saves a method object per
+        # event.
+        self._at_router_cb = self._at_router
+        self._ride_chain_cb = self._ride_chain
+        self._finish_cb = self._finish
 
     # ------------------------------------------------------------------
     # Handler registration
@@ -105,7 +110,8 @@ class MemoryNetwork:
         if isinstance(packet.src, str):
             self._inject_from_terminal(packet)
         else:
-            self._route_step(packet, int(packet.src))
+            packet.router = int(packet.src)
+            self._at_router(packet)
 
     # ------------------------------------------------------------------
     # Injection
@@ -121,7 +127,9 @@ class MemoryNetwork:
                 packet.size_bytes, self.sim.now + self._serdes_ps
             )
             packet.hops += 1
-            self.sim.at(arrive, partial(self._ride_chain, packet, channels, 0, att_router))
+            packet.router = att_router
+            packet.chain = iter(channels)
+            self.sim.at(arrive, self._ride_chain_cb, packet)
             return
 
         att = self.routing.select_injection(self.topo, packet, dst_router, self.sim.now)
@@ -129,7 +137,8 @@ class MemoryNetwork:
             packet.size_bytes, self.sim.now + self._serdes_ps
         )
         packet.hops += 1
-        self.sim.at(arrive, partial(self._at_router, packet, att.router))
+        packet.router = att.router
+        self.sim.at(arrive, self._at_router_cb, packet)
 
     def _destination_router_estimate(self, packet: Packet) -> int:
         """The router the packet must reach (exact for router destinations,
@@ -211,18 +220,18 @@ class MemoryNetwork:
             return None
         return head, channels
 
-    def _ride_chain(
-        self, packet: Packet, channels: List[Channel], idx: int, cur_router: int
-    ) -> None:
-        """Traverse chain channels one hop per event at pass-through latency."""
-        if idx >= len(channels):
-            self._at_router(packet, cur_router, via_chain=True)
+    def _ride_chain(self, packet: Packet) -> None:
+        """Traverse ``packet.chain`` one hop per event at pass-through latency."""
+        ch = next(packet.chain, None)
+        if ch is None:
+            packet.chain = None
+            self._at_router(packet, via_chain=True)
             return
-        ch = channels[idx]
         arrive = ch.transmit(packet.size_bytes, self.sim.now + self._passthrough_ps)
         packet.hops += 1
-        nxt = ch.dst if isinstance(ch.dst, int) else cur_router
-        self.sim.at(arrive, partial(self._ride_chain, packet, channels, idx + 1, nxt))
+        if isinstance(ch.dst, int):
+            packet.router = ch.dst
+        self.sim.at(arrive, self._ride_chain_cb, packet)
 
     def _passthrough_return_plan(
         self, packet: Packet, router: int
@@ -244,13 +253,10 @@ class MemoryNetwork:
     # ------------------------------------------------------------------
     # Hop processing
     # ------------------------------------------------------------------
-    def _route_step(self, packet: Packet, router: int) -> None:
-        """Process a packet that is at ``router`` and must move on."""
-        self._at_router(packet, router, entering=True)
-
-    def _at_router(
-        self, packet: Packet, router: int, via_chain: bool = False, entering: bool = False
-    ) -> None:
+    def _at_router(self, packet: Packet, via_chain: bool = False) -> None:
+        """Process a packet that is at ``packet.router``: deliver, eject,
+        or move it one hop on."""
+        router = packet.router
         if isinstance(packet.dst, int):
             if router == packet.dst:
                 self._deliver_to_router(packet, router)
@@ -258,10 +264,11 @@ class MemoryNetwork:
         else:
             chain_back = None if via_chain else self._passthrough_return_plan(packet, router)
             if chain_back is not None:
-                head = self.topo.passthrough_chains[str(packet.dst)][
+                packet.router = self.topo.passthrough_chains[str(packet.dst)][
                     self.topo.slice_of[router]
                 ].routers[0]
-                self._ride_chain(packet, chain_back, 0, head)
+                packet.chain = iter(chain_back)
+                self._ride_chain(packet)
                 return
             if packet.eject_router is None:
                 packet.eject_router = self.routing.select_ejection(
@@ -274,26 +281,32 @@ class MemoryNetwork:
         nbr, ch = self.routing.next_hop(self.topo, packet, router, dst_router, self.sim.now)
         arrive = ch.transmit(packet.size_bytes, self.sim.now + self._hop_latency_ps)
         packet.hops += 1
-        self.sim.at(arrive, partial(self._at_router, packet, nbr))
+        packet.router = nbr
+        self.sim.at(arrive, self._at_router_cb, packet)
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def _deliver_to_router(self, packet: Packet, router: int) -> None:
-        handler = self._router_handlers.get(router)
-        if handler is None:
+        if router not in self._router_handlers:
             raise SimulationError(f"no handler registered for router {router}")
-        self.sim.after(self._switch_ps, partial(self._finish, packet, handler))
+        self.sim.at(self.sim.now + self._switch_ps, self._finish_cb, packet)
 
     def _eject(self, packet: Packet, att) -> None:
-        handler = self._terminal_handlers.get(att.terminal)
-        if handler is None:
+        if att.terminal not in self._terminal_handlers:
             raise SimulationError(f"no handler registered for terminal {att.terminal}")
         arrive = att.eject.transmit(packet.size_bytes, self.sim.now + self._serdes_ps)
         packet.hops += 1
-        self.sim.at(arrive, partial(self._finish, packet, handler))
+        self.sim.at(arrive, self._finish_cb, packet)
 
-    def _finish(self, packet: Packet, handler: PacketHandler) -> None:
+    def _finish(self, packet: Packet) -> None:
+        """Hand a delivered packet to its destination's handler (checked
+        present when the packet was delivered or ejected)."""
+        dst = packet.dst
+        if isinstance(dst, int):
+            handler = self._router_handlers[dst]
+        else:
+            handler = self._terminal_handlers[dst]
         self.stats.delivered += 1
         self.stats.total_latency_ps += self.sim.now - packet.injected_at_ps
         self.stats.total_hops += packet.hops

@@ -11,7 +11,7 @@ import enum
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 #: ``slots=True`` shrinks per-packet memory and speeds up attribute access
 #: on the flit-network hot path; it needs Python 3.10+.
@@ -87,6 +87,11 @@ class Packet:
     #: For terminal destinations: the ejection router chosen when routing
     #: began (fixed so per-hop decisions cannot oscillate between exits).
     eject_router: Optional[int] = None
+    #: Network bookkeeping: the router the packet is at, or is heading to
+    #: while it crosses a channel, and the pass-through chain channels it
+    #: still has to ride.  Hop events carry only the packet.
+    router: int = -1
+    chain: Optional[Iterator[Any]] = None
 
     @property
     def message_class(self) -> MessageClass:

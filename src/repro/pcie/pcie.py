@@ -11,7 +11,6 @@ system builder charges that forwarding cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..config import PCIeConfig
@@ -52,11 +51,13 @@ class PCIeSwitch:
         src: str,
         dst: str,
         payload_bytes: int,
-        on_done: Callable[[], None],
+        on_done: Callable[..., None],
+        *arg,
     ) -> None:
         """Move ``payload_bytes`` from ``src`` to ``dst`` through the switch.
 
-        ``on_done`` fires when the last byte reaches the destination.
+        ``on_done(*arg)`` fires when the last byte reaches the destination;
+        ``arg`` is at most one value, as for :meth:`Simulator.at`.
         """
         try:
             up = self._up[src]
@@ -70,7 +71,7 @@ class PCIeSwitch:
         tracer = self.sim.tracer
         if tracer is not None:
             start_ps = self.sim.now
-            inner = on_done
+            inner, inner_arg = on_done, arg
 
             def on_done() -> None:
                 tracer.complete(
@@ -81,13 +82,15 @@ class PCIeSwitch:
                     tid=f"pcie.{src}",
                     args={"bytes": size},
                 )
-                inner()
+                inner(*inner_arg)
 
-        self.sim.at(at_switch, partial(self._forward, down, size, on_done))
+            arg = ()
+        self.sim.at(at_switch, self._forward, (down, size, on_done, arg))
 
-    def _forward(self, down: Channel, size: int, on_done: Callable[[], None]) -> None:
+    def _forward(self, hop: tuple) -> None:
+        down, size, on_done, arg = hop
         arrive = down.transmit(size, self.sim.now + self.cfg.latency_ps // 2)
-        self.sim.at(arrive, on_done)
+        self.sim.at(arrive, on_done, *arg)
 
     # ------------------------------------------------------------------
     def link_utilization(self, device: str, elapsed_ps: int) -> float:

@@ -65,15 +65,17 @@ class PCNFabric:
         src: str,
         dst: str,
         payload_bytes: int,
-        on_done: Callable[[], None],
+        on_done: Callable[..., None],
+        *arg,
     ) -> None:
-        """Move ``payload_bytes`` over the dedicated src->dst link."""
+        """Move ``payload_bytes`` over the dedicated src->dst link;
+        ``on_done(*arg)`` fires on arrival (``arg`` is at most one value)."""
         channel = self.link(src, dst)
         size = payload_bytes + self.cfg.header_bytes
         self.stats.transactions += 1
         self.stats.bytes += size
         arrive = channel.transmit(size, self.sim.now + self.cfg.latency_ps)
-        self.sim.at(arrive, on_done)
+        self.sim.at(arrive, on_done, *arg)
 
     # ------------------------------------------------------------------
     def channels(self) -> List[Channel]:

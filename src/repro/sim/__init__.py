@@ -1,6 +1,6 @@
 """Discrete-event simulation core."""
 
-from .engine import Barrier, Simulator
+from .engine import Simulator
 from .watchdog import (
     DEFAULT_MAX_EVENTS,
     queue_depth_summary,
@@ -11,7 +11,6 @@ from .watchdog import (
 )
 
 __all__ = [
-    "Barrier",
     "DEFAULT_MAX_EVENTS",
     "Simulator",
     "queue_depth_summary",

@@ -3,16 +3,24 @@
 The entire system model is event-driven: components schedule callbacks at
 absolute picosecond timestamps and the engine executes them in time order.
 Ties are broken by insertion order so runs are fully deterministic.
+
+An event may carry one argument for its callback (``sim.at(t, fn, arg)``
+runs ``fn(arg)``).  Hot paths schedule a pre-bound method with the object
+it acts on instead of building a ``functools.partial`` per event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 
-Callback = Callable[[], None]
+Callback = Callable[..., None]
+
+#: Marks an event scheduled without an argument.  A private object rather
+#: than ``None`` so that ``None`` itself can be delivered as an argument.
+_NO_ARG: Any = object()
 
 # at() is the single hottest call site in the simulator; binding heappush
 # at module level skips the heapq attribute chase on every schedule.
@@ -24,11 +32,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
+        #: Heap of ``(time_ps, seq, fn, arg)`` entries; ``seq`` is unique,
+        #: so ordering never compares callbacks or arguments.
         self._queue: list = []
         self._seq: int = 0
         self._events_executed: int = 0
         self._peak_pending: int = 0
-        self._running = False
         #: Optional :class:`~repro.obs.tracer.ChromeTracer`.  Components
         #: reach it as ``sim.tracer`` and guard every emission with a
         #: single ``is not None`` check, so the disabled cost is one
@@ -38,82 +47,62 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def at(self, time_ps: int, fn: Callback) -> None:
-        """Schedule ``fn`` to run at absolute time ``time_ps``."""
+    def at(self, time_ps: int, fn: Callback, arg: Any = _NO_ARG) -> None:
+        """Schedule ``fn()`` (or ``fn(arg)``) to run at absolute time ``time_ps``."""
         if time_ps < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time_ps} < now={self.now}"
             )
         queue = self._queue
-        _heappush(queue, (time_ps, self._seq, fn))
+        _heappush(queue, (time_ps, self._seq, fn, arg))
         self._seq += 1
         # Peak-pending high-water mark: the heap only grows here, so one
         # len/compare per schedule is the entire telemetry cost.
         if len(queue) > self._peak_pending:
             self._peak_pending = len(queue)
 
-    def after(self, delay_ps: int, fn: Callback) -> None:
-        """Schedule ``fn`` to run ``delay_ps`` from now."""
+    def after(self, delay_ps: int, fn: Callback, arg: Any = _NO_ARG) -> None:
+        """Schedule ``fn()`` (or ``fn(arg)``) to run ``delay_ps`` from now."""
         if delay_ps < 0:
             raise SimulationError(f"negative delay: {delay_ps}")
-        self.at(self.now + delay_ps, fn)
+        self.at(self.now + delay_ps, fn, arg)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the event queue drains (or a limit is hit).
+    def run(self, max_events: Optional[int] = None) -> int:
+        """Run until the event queue drains (or ``max_events`` have run).
 
         Returns the number of events executed during this call.
         """
         executed = 0
-        self._running = True
         queue = self._queue
         pop = heapq.heappop
-        try:
-            if until_ps is None and max_events is None:
-                # Fast path: no per-event limit checks.  This loop
-                # executes every event of every simulation — keeping it to a
-                # pop, a store, and a call is a measurable whole-run win.
-                while queue:
-                    entry = pop(queue)
-                    self.now = entry[0]
-                    entry[2]()
-                    executed += 1
-            elif until_ps is None:
-                # Bounded fast path: only an event budget.  The watchdog
-                # (repro.sim.watchdog) runs every simulation in slices of
-                # ``max_events``, so this loop is as hot as the one above —
-                # it adds a single integer comparison per event.
-                while queue and executed < max_events:
-                    entry = pop(queue)
-                    self.now = entry[0]
-                    entry[2]()
-                    executed += 1
-            else:
-                while queue:
-                    if queue[0][0] > until_ps:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    time_ps, _, fn = pop(queue)
-                    self.now = time_ps
+        no_arg = _NO_ARG
+        if max_events is None:
+            # Fast path: no per-event limit checks.  This loop executes
+            # every event of every simulation — keeping it to a pop, a
+            # store, and a call is a measurable whole-run win.
+            while queue:
+                self.now, _, fn, arg = pop(queue)
+                if arg is no_arg:
                     fn()
-                    executed += 1
-        finally:
-            self._running = False
+                else:
+                    fn(arg)
+                executed += 1
+        else:
+            # Bounded path: the watchdog (repro.sim.watchdog) runs every
+            # simulation in slices of ``max_events``, so this loop is as hot
+            # as the one above — it adds one integer comparison per event.
+            while queue and executed < max_events:
+                self.now, _, fn, arg = pop(queue)
+                if arg is no_arg:
+                    fn()
+                else:
+                    fn(arg)
+                executed += 1
         self._events_executed += executed
         return executed
-
-    def step(self) -> bool:
-        """Execute a single event. Returns False if the queue was empty."""
-        if not self._queue:
-            return False
-        time_ps, _, fn = heapq.heappop(self._queue)
-        self.now = time_ps
-        fn()
-        self._events_executed += 1
-        return True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -130,45 +119,3 @@ class Simulator:
     def peak_pending_events(self) -> int:
         """High-water mark of the pending-event heap over the sim's life."""
         return self._peak_pending
-
-    def peek_time(self) -> Optional[int]:
-        """Timestamp of the next pending event, or None if idle."""
-        return self._queue[0][0] if self._queue else None
-
-
-class Barrier:
-    """Counts down ``count`` arrivals, then fires a completion callback.
-
-    Used for fork/join patterns such as "this CTA phase issued N memory
-    accesses; resume when all N responses arrived".
-    """
-
-    def __init__(self, count: int, on_done: Callback) -> None:
-        if count < 0:
-            raise SimulationError("barrier count must be >= 0")
-        self._remaining = count
-        self._on_done = on_done
-        self._fired = False
-        if count == 0:
-            self._fire()
-
-    def arrive(self) -> None:
-        if self._fired:
-            raise SimulationError("arrival after barrier completion")
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._fire()
-        elif self._remaining < 0:  # pragma: no cover - guarded above
-            raise SimulationError("barrier over-notified")
-
-    def _fire(self) -> None:
-        self._fired = True
-        self._on_done()
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
-
-    @property
-    def done(self) -> bool:
-        return self._fired

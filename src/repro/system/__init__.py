@@ -1,7 +1,7 @@
 """System assembly: architectures, fabrics, builder, runner, energy,
 metrics, and the canonical run spec."""
 
-from .builder import DirectLink, MultiGPUSystem, NetEnvelope
+from .builder import DirectLink, MultiGPUSystem
 from .configs import (
     TABLE_III,
     ArchSpec,
@@ -22,7 +22,6 @@ from .spec import SystemSpec, WorkloadRef
 __all__ = [
     "DirectLink",
     "MultiGPUSystem",
-    "NetEnvelope",
     "TABLE_III",
     "ArchSpec",
     "Organization",

@@ -59,7 +59,6 @@ from .fabric import make_fabric
 from .fabric.base import (  # noqa: F401  (re-exported for compatibility)
     GPU_FORWARD_PS,
     DirectLink,
-    NetEnvelope,
 )
 
 
@@ -130,6 +129,23 @@ class MultiGPUSystem:
         registry = MetricRegistry()
         register_system_metrics(registry, self)
         return registry
+
+    def release(self) -> None:
+        """Free the built SMs, vaults and cache contents of a finished run.
+
+        A system's object graph is cyclic (components point back at the
+        system, the fabric and each other), so a dropped system is freed
+        only by a full garbage collection, and until then its SMs, vaults,
+        DRAM banks and cache sets stay in memory.  :func:`run_workload`
+        calls this once the result is collected, which returns that memory
+        at once.  The system must not be run or inspected afterwards.
+        """
+        for gpu in self.gpus:
+            gpu.sms.clear()
+            gpu.l2.flush()
+        self.cpu.l2.flush()
+        for hmc in self.hmcs.values():
+            hmc.vaults.clear()
 
     # ------------------------------------------------------------------
     # Page table / placement

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Type
 
 from ...errors import ConfigError
 from ..configs import ArchSpec, Organization, register_arch
-from .base import DirectLink, Fabric, GPU_FORWARD_PS, NetEnvelope
+from .base import DirectLink, Fabric, GPU_FORWARD_PS
 from .cmn import CMNFabric
 from .gmn import GMNFabric
 from .pcie import PCIeFabric
@@ -74,7 +74,6 @@ __all__ = [
     "FABRICS",
     "Fabric",
     "DirectLink",
-    "NetEnvelope",
     "GPU_FORWARD_PS",
     "PCIeFabric",
     "PCNFabric",

@@ -22,8 +22,6 @@ organization composes the same four mechanisms:
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -32,13 +30,7 @@ from ...hmc.hmc import HMC
 from ...mem import AccessType, DecodedAddress, MemoryAccess
 from ...network.channel import Channel
 from ...network.network import MemoryNetwork
-from ...network.packet import (
-    Packet,
-    PacketKind,
-    request_size_bytes,
-    response_kind,
-    response_size_bytes,
-)
+from ...network.packet import Packet, PacketKind, response_kind
 from ...sim.engine import Simulator
 from ..configs import TransferMode
 
@@ -49,12 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: a peer GPU, Fig. 9(a)): on-chip crossbar + memory-controller traversal.
 GPU_FORWARD_PS = 150_000  # 150 ns
 
-_DATACLASS_OPTS = {"slots": True} if sys.version_info >= (3, 10) else {}
-
 
 def _packet_kind(access_type: AccessType) -> PacketKind:
     # ``is``-chain rather than an enum-keyed dict: Enum.__hash__ is a
-    # Python-level call and this runs multiple times per memory access.
+    # Python-level call and this runs once per network request.
     if access_type is AccessType.READ:
         return PacketKind.READ_REQ
     if access_type is AccessType.WRITE:
@@ -63,24 +53,21 @@ def _packet_kind(access_type: AccessType) -> PacketKind:
 
 
 def _request_bytes(access: MemoryAccess, header: int) -> int:
-    kind = _packet_kind(access.type)
-    data = access.size if kind is not PacketKind.READ_REQ else 0
-    return request_size_bytes(kind, data, header)
+    """Wire size of an access's request: reads carry only the header."""
+    return header if access.type is AccessType.READ else header + access.size
 
 
 def _response_bytes(access: MemoryAccess, header: int) -> int:
-    kind = response_kind(_packet_kind(access.type))
-    data = access.size if kind is not PacketKind.WRITE_ACK else 0
-    return response_size_bytes(kind, data, header)
+    """Wire size of an access's response: write acks carry only the header."""
+    return header if access.type is AccessType.WRITE else header + access.size
 
 
-@dataclass(**_DATACLASS_OPTS)
-class NetEnvelope:
-    """Payload wrapper for packets crossing the memory network."""
-
-    kind: str  # "req" | "resp" | "fwd_req"
-    access: MemoryAccess
-    reply_to: str = ""
+def _is_response(kind: PacketKind) -> bool:
+    return (
+        kind is PacketKind.READ_RESP
+        or kind is PacketKind.WRITE_ACK
+        or kind is PacketKind.ATOMIC_RESP
+    )
 
 
 class DirectLink:
@@ -103,18 +90,23 @@ class DirectLink:
         self.req = Channel(f"{terminal}=>{hmc.name}", terminal, hmc.name, gbps, width)
         self.resp = Channel(f"{hmc.name}=>{terminal}", hmc.name, terminal, gbps, width)
 
-    def access(self, access: MemoryAccess, on_done: Callable[[], None]) -> None:
+    def access(self, access: MemoryAccess, on_done: Callable[..., None], *arg) -> None:
+        """Carry ``access`` to the HMC and its response back; ``on_done(*arg)``
+        fires when the response arrives (``arg`` is at most one value)."""
         req_size = _request_bytes(access, self.header_bytes)
         arrive = self.req.transmit(req_size, self.sim.now + self.serdes_ps)
-        self.sim.at(
-            arrive,
-            partial(self.hmc.access, access, partial(self._served, on_done)),
-        )
+        # One (access, on_done, arg) tuple carries the request through both
+        # of its events.
+        self.sim.at(arrive, self._at_hmc, (access, on_done, arg))
 
-    def _served(self, on_done: Callable[[], None], access: MemoryAccess) -> None:
+    def _at_hmc(self, request: tuple) -> None:
+        self.hmc.access(request[0], self._served, request)
+
+    def _served(self, request: tuple) -> None:
+        access, on_done, arg = request
         resp_size = _response_bytes(access, self.header_bytes)
         done_at = self.resp.transmit(resp_size, self.sim.now + self.serdes_ps)
-        self.sim.at(done_at, on_done)
+        self.sim.at(done_at, on_done, *arg)
 
 
 class Fabric:
@@ -245,11 +237,11 @@ class Fabric:
     # Transport primitives
     # ------------------------------------------------------------------
     def _direct(
-        self, terminal: str, access: MemoryAccess, on_done: Callable[[], None]
+        self, terminal: str, access: MemoryAccess, on_done: Callable[..., None], *arg
     ) -> None:
         decoded = access.decoded
         link = self.system._direct_links[(terminal, decoded.cluster, decoded.local_hmc)]
-        link.access(access, on_done)
+        link.access(access, on_done, *arg)
 
     def _router_of(self, decoded: DecodedAddress) -> int:
         return decoded.cluster * self.system.hmcs_per_cluster + decoded.local_hmc
@@ -266,15 +258,16 @@ class Fabric:
         assert system.network is not None
         dst = self._router_of(access.decoded) if router is None else router
         system._pending[access.aid] = on_done
-        packet = Packet(
-            kind=_packet_kind(access.type),
-            src=terminal,
-            dst=dst,
-            size_bytes=_request_bytes(access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("req", access, reply_to=terminal),
-            pass_through=pass_through,
+        system.network.send(
+            Packet(
+                _packet_kind(access.type),
+                terminal,
+                dst,
+                _request_bytes(access, system.cfg.network.header_bytes),
+                access,
+                pass_through,
+            )
         )
-        system.network.send(packet)
 
     def _net_forwarded(
         self,
@@ -288,14 +281,15 @@ class Fabric:
         system = self.system
         assert system.network is not None
         system._pending[access.aid] = on_done
-        packet = Packet(
-            kind=_packet_kind(access.type),
-            src=terminal,
-            dst=owner_terminal,
-            size_bytes=_request_bytes(access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("fwd_req", access, reply_to=terminal),
+        system.network.send(
+            Packet(
+                _packet_kind(access.type),
+                terminal,
+                owner_terminal,
+                _request_bytes(access, system.cfg.network.header_bytes),
+                access,
+            )
         )
-        system.network.send(packet)
 
     def _pcie_forwarded(
         self,
@@ -308,20 +302,7 @@ class Fabric:
         request to its local HMC and returns the response over PCIe."""
         system = self.system
         assert system.pcie is not None
-        req_bytes = _request_bytes(access, system.cfg.network.header_bytes)
-        system.pcie.transaction(
-            terminal,
-            owner_terminal,
-            req_bytes,
-            partial(
-                self._fwd_at_owner,
-                system.pcie,
-                terminal,
-                owner_terminal,
-                access,
-                on_done,
-            ),
-        )
+        self._forward(system.pcie, terminal, owner_terminal, access, on_done)
 
     def _pcn_forwarded(
         self,
@@ -334,115 +315,100 @@ class Fabric:
         owning processor, which forwards to its local HMC (extension)."""
         system = self.system
         assert system.pcn is not None
-        req_bytes = _request_bytes(access, system.cfg.network.header_bytes)
-        system.pcn.transaction(
+        self._forward(system.pcn, terminal, owner_terminal, access, on_done)
+
+    def _forward(
+        self,
+        fabric,
+        terminal: str,
+        owner_terminal: str,
+        access: MemoryAccess,
+        on_done: Callable[[], None],
+    ) -> None:
+        """Send the request over ``fabric`` (PCIe or PCN) to the owning
+        device.  One ``(fabric, terminal, owner_terminal, access, on_done)``
+        tuple is the argument of every event of the forwarding chain."""
+        req_bytes = _request_bytes(access, self.system.cfg.network.header_bytes)
+        fabric.transaction(
             terminal,
             owner_terminal,
             req_bytes,
-            partial(
-                self._fwd_at_owner,
-                system.pcn,
-                terminal,
-                owner_terminal,
-                access,
-                on_done,
-            ),
+            self._fwd_at_owner,
+            (fabric, terminal, owner_terminal, access, on_done),
         )
 
-    def _fwd_at_owner(
-        self,
-        fabric,
-        terminal: str,
-        owner_terminal: str,
-        access: MemoryAccess,
-        on_done: Callable[[], None],
-    ) -> None:
+    def _fwd_at_owner(self, fwd: tuple) -> None:
         """The request reached the owning device; forward to its local HMC
         and send the response back over the same fabric."""
-        self.system.sim.after(
-            GPU_FORWARD_PS,
-            partial(
-                self._direct,
-                owner_terminal,
-                access,
-                partial(
-                    self._fwd_served, fabric, terminal, owner_terminal, access, on_done
-                ),
-            ),
-        )
+        self.system.sim.after(GPU_FORWARD_PS, self._fwd_to_hmc, fwd)
 
-    def _fwd_served(
-        self,
-        fabric,
-        terminal: str,
-        owner_terminal: str,
-        access: MemoryAccess,
-        on_done: Callable[[], None],
-    ) -> None:
+    def _fwd_to_hmc(self, fwd: tuple) -> None:
+        _, _, owner_terminal, access, _ = fwd
+        self._direct(owner_terminal, access, self._fwd_served, fwd)
+
+    def _fwd_served(self, fwd: tuple) -> None:
+        self.system.sim.after(GPU_FORWARD_PS, self._fwd_respond, fwd)
+
+    def _fwd_respond(self, fwd: tuple) -> None:
+        fabric, terminal, owner_terminal, access, on_done = fwd
         resp_bytes = _response_bytes(access, self.system.cfg.network.header_bytes)
-        self.system.sim.after(
-            GPU_FORWARD_PS,
-            partial(fabric.transaction, owner_terminal, terminal, resp_bytes, on_done),
-        )
+        fabric.transaction(owner_terminal, terminal, resp_bytes, on_done)
 
     # ------------------------------------------------------------------
     # Network packet handlers
     # ------------------------------------------------------------------
+    # A network packet's payload is its MemoryAccess.  A request packet
+    # addressed to a router is served by that router's HMC; one addressed
+    # to a terminal is forwarded by that device to its local HMC (CMN).
+    # The response goes back to the request's source.
     def _on_router_packet(self, router: int, hmc: HMC, packet: Packet) -> None:
-        envelope: NetEnvelope = packet.payload
-        if envelope.kind != "req":
-            raise SimulationError(f"router {router} received {envelope.kind} packet")
-        hmc.access(envelope.access, partial(self._hmc_served, router, packet))
+        if _is_response(packet.kind):
+            raise SimulationError(f"router {router} received {packet.kind.value} packet")
+        hmc.access(packet.payload, self._hmc_served, packet)
 
-    def _hmc_served(self, router: int, packet: Packet, access: MemoryAccess) -> None:
+    def _hmc_served(self, request: Packet) -> None:
         system = self.system
         assert system.network is not None
-        envelope: NetEnvelope = packet.payload
-        response = Packet(
-            kind=response_kind(packet.kind),
-            src=router,
-            dst=envelope.reply_to,
-            size_bytes=_response_bytes(access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("resp", access),
-            pass_through=packet.pass_through,
+        access = request.payload
+        system.network.send(
+            Packet(
+                response_kind(request.kind),
+                request.dst,
+                request.src,
+                _response_bytes(access, system.cfg.network.header_bytes),
+                access,
+                request.pass_through,
+            )
         )
-        system.network.send(response)
 
     def _on_terminal_packet(self, packet: Packet) -> None:
         system = self.system
-        envelope: NetEnvelope = packet.payload
-        access = envelope.access
-        if envelope.kind == "resp":
+        kind = packet.kind
+        if _is_response(kind):
             try:
-                on_done = system._pending.pop(access.aid)
+                on_done = system._pending.pop(packet.payload.aid)
             except KeyError:
                 raise SimulationError(
-                    f"response for unknown access {access.aid}"
+                    f"response for unknown access {packet.payload.aid}"
                 ) from None
             on_done()
-        elif envelope.kind == "fwd_req":
-            owner = str(packet.dst)
-            system.sim.after(
-                GPU_FORWARD_PS,
-                partial(
-                    self._direct,
-                    owner,
-                    access,
-                    partial(self._fwd_req_served, owner, packet),
-                ),
-            )
+        elif kind is not PacketKind.DATA:
+            system.sim.after(GPU_FORWARD_PS, self._fwd_req_to_hmc, packet)
         else:
-            raise SimulationError(f"unexpected envelope kind {envelope.kind!r}")
+            raise SimulationError(f"unexpected envelope kind {kind.value!r}")
 
-    def _fwd_req_served(self, owner: str, packet: Packet) -> None:
+    def _fwd_req_to_hmc(self, packet: Packet) -> None:
+        self._direct(packet.dst, packet.payload, self._fwd_req_served, packet)
+
+    def _fwd_req_served(self, request: Packet) -> None:
         system = self.system
         assert system.network is not None
-        envelope: NetEnvelope = packet.payload
+        access = request.payload
         response = Packet(
-            kind=response_kind(packet.kind),
-            src=owner,
-            dst=envelope.reply_to,
-            size_bytes=_response_bytes(envelope.access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("resp", envelope.access),
+            response_kind(request.kind),
+            request.dst,
+            request.src,
+            _response_bytes(access, system.cfg.network.header_bytes),
+            access,
         )
-        system.sim.after(GPU_FORWARD_PS, partial(system.network.send, response))
+        system.sim.after(GPU_FORWARD_PS, system.network.send, response)

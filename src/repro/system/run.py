@@ -45,7 +45,7 @@ def run_workload(
     ``obs`` attaches an :class:`~repro.obs.bind.Observability` bundle
     (tracing / sampling / profiling) to the run.
     """
-    result, _ = run_workload_detailed(
+    result, system = run_workload_detailed(
         spec,
         workload,
         cfg=cfg,
@@ -57,6 +57,8 @@ def run_workload(
         seed=seed,
         obs=obs,
     )
+    if system is not None:
+        system.release()
     return result
 
 

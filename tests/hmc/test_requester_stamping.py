@@ -20,9 +20,9 @@ def _audit_run(arch, workload, scale, monkeypatch, **kw):
     seen = []
     original = Vault.enqueue
 
-    def spy(self, access, on_done):
+    def spy(self, access, *rest):
         seen.append(access.requester)
-        return original(self, access, on_done)
+        return original(self, access, *rest)
 
     monkeypatch.setattr(Vault, "enqueue", spy)
     cfg = kw.pop("cfg", tiny_system_config(num_gpus=2, num_sms=2))

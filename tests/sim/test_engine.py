@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Barrier
 
 
 class TestScheduling:
@@ -70,27 +69,11 @@ class TestScheduling:
 
 
 class TestRunLimits:
-    def test_run_until_stops_before_later_events(self, sim):
-        ran = []
-        sim.at(100, lambda: ran.append(100))
-        sim.at(200, lambda: ran.append(200))
-        executed = sim.run(until_ps=150)
-        assert executed == 1
-        assert ran == [100]
-        assert sim.pending_events == 1
-
     def test_max_events_limit(self, sim):
         for t in range(10):
             sim.at(t * 10, lambda: None)
         assert sim.run(max_events=4) == 4
         assert sim.pending_events == 6
-
-    def test_step_executes_one_event(self, sim):
-        ran = []
-        sim.at(5, lambda: ran.append(1))
-        assert sim.step() is True
-        assert ran == [1]
-        assert sim.step() is False
 
     def test_events_executed_accumulates(self, sim):
         sim.at(1, lambda: None)
@@ -98,40 +81,62 @@ class TestRunLimits:
         sim.run()
         assert sim.events_executed == 2
 
-    def test_peek_time(self, sim):
-        assert sim.peek_time() is None
-        sim.at(42, lambda: None)
-        assert sim.peek_time() == 42
 
+class TestEventArgument:
+    """``at``/``after`` carry one optional argument to the callback."""
 
-class TestBarrier:
-    def test_fires_after_count_arrivals(self):
-        done = []
-        barrier = Barrier(3, lambda: done.append(True))
-        barrier.arrive()
-        barrier.arrive()
-        assert not done
-        barrier.arrive()
-        assert done == [True]
-        assert barrier.done
+    def test_argument_reaches_callback(self, sim):
+        got = []
+        sim.at(10, got.append, "at")
+        sim.after(20, got.append, "after")
+        sim.run()
+        assert got == ["at", "after"]
 
-    def test_zero_count_fires_immediately(self):
-        done = []
-        Barrier(0, lambda: done.append(True))
-        assert done == [True]
+    @pytest.mark.parametrize("max_events", [None, 1, 2, 1000])
+    def test_argument_reaches_callback_in_every_run_loop(self, sim, max_events):
+        got = []
+        for t in range(5):
+            sim.at(t, got.append, t)
+        while sim.pending_events:
+            sim.run(max_events=max_events)
+        assert got == [0, 1, 2, 3, 4]
 
-    def test_over_notify_raises(self):
-        barrier = Barrier(1, lambda: None)
-        barrier.arrive()
-        with pytest.raises(SimulationError):
-            barrier.arrive()
+    def test_argument_reaches_callback_under_the_watchdog(self, sim, monkeypatch):
+        from repro.sim import watchdog
 
-    def test_negative_count_raises(self):
-        with pytest.raises(SimulationError):
-            Barrier(-1, lambda: None)
+        # 3-event slices force several bounded runs.
+        monkeypatch.setattr(watchdog, "SLICE_EVENTS", 3)
+        got = []
+        for t in range(7):
+            sim.at(t, got.append, t)
+        assert watchdog.run_guarded(sim, max_events=10, wall_s=60.0) == 7
+        assert got == list(range(7))
 
-    def test_remaining_tracks_arrivals(self):
-        barrier = Barrier(2, lambda: None)
-        assert barrier.remaining == 2
-        barrier.arrive()
-        assert barrier.remaining == 1
+    def test_none_is_delivered_as_an_argument(self, sim):
+        got = []
+        sim.at(5, got.append, None)
+        sim.after(5, got.append, None)
+        sim.run()
+        assert got == [None, None]
+
+    def test_mixed_events_at_one_time_fire_in_insertion_order(self, sim):
+        order = []
+        sim.at(100, order.append, "arg-1")
+        sim.at(100, lambda: order.append("bare-2"))
+        sim.after(100, order.append, "arg-3")
+        sim.after(100, lambda: order.append("bare-4"))
+        sim.at(100, order.append, None)
+        sim.run()
+        assert order == ["arg-1", "bare-2", "arg-3", "bare-4", None]
+
+    def test_past_time_with_argument_raises(self, sim):
+        sim.at(100, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.at(50, print, "x")
+        assert sim.pending_events == 0
+
+    def test_negative_delay_with_argument_raises(self, sim):
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.after(-1, print, "x")
+        assert sim.pending_events == 0

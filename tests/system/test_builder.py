@@ -177,3 +177,31 @@ class TestCpuPort:
             for ch in chain.forward + chain.reverse
         )
         assert pt_bytes > 0
+
+
+class TestRelease:
+    def test_release_frees_components_without_a_collection(self):
+        # A finished system's graph is cyclic; release() must hand its SMs,
+        # vaults and cache contents back by reference counting alone.
+        import gc
+        import weakref
+
+        from repro.system.run import run_workload_detailed
+        from repro.workloads.suite import get_workload
+
+        _, system = run_workload_detailed(
+            TABLE_III["UMN"], get_workload("VEC", 0.05), cfg=tiny_system_config(2)
+        )
+        sms = [weakref.ref(sm) for g in system.gpus for sm in g.sms.values()]
+        vaults = [
+            weakref.ref(v) for h in system.hmcs.values() for v in h.vaults.values()
+        ]
+        assert sms and vaults
+        gc.disable()
+        try:
+            system.release()
+            assert all(ref() is None for ref in sms + vaults)
+        finally:
+            gc.enable()
+        assert all(g.l2.occupancy == 0 for g in system.gpus)
+        assert system.cpu.l2.occupancy == 0

@@ -181,3 +181,32 @@ class TestToyOrganization:
         assert again == spec
         assert again.arch.organization == TSM_ORG
         assert again.cache_key() == spec.cache_key()
+
+
+@pytest.mark.parametrize("kind", list(AccessType))
+@pytest.mark.parametrize("size", [4, 64, 128])
+def test_wire_sizes_match_the_packet_size_rules(kind, size):
+    # The fabric derives an access's wire sizes with one identity test each;
+    # they must agree with the packet module's size rules, which the
+    # analytic tier uses.
+    from repro.network.packet import (
+        PacketKind,
+        request_size_bytes,
+        response_kind,
+        response_size_bytes,
+    )
+    from repro.system.fabric.base import (
+        _packet_kind,
+        _request_bytes,
+        _response_bytes,
+    )
+
+    access = MemoryAccess(paddr=0, size=size, type=kind)
+    req_kind = _packet_kind(kind)
+    resp_kind = response_kind(req_kind)
+    req_data = 0 if req_kind is PacketKind.READ_REQ else size
+    resp_data = 0 if resp_kind is PacketKind.WRITE_ACK else size
+    assert _request_bytes(access, 16) == request_size_bytes(req_kind, req_data, 16)
+    assert _response_bytes(access, 16) == response_size_bytes(
+        resp_kind, resp_data, 16
+    )
